@@ -199,6 +199,37 @@ func BenchmarkMaxMinRates(b *testing.B) {
 	}
 }
 
+// BenchmarkSimQueue measures the simulator's event queue alone under the
+// hold model: 10k events stay pending, and each op fires the earliest one,
+// whose callback schedules its replacement a pseudo-random delay later — one
+// pop and one push. Steady state must stay at 0 allocs/op: a fired Event is
+// recycled for the next scheduling call.
+func BenchmarkSimQueue(b *testing.B) {
+	const pending = 10000
+	s := sim.New()
+	x := uint64(88172645463325252) // xorshift64 state
+	var hold func()
+	hold = func() {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		s.After(sim.Duration(x%uint64(sim.Millisecond)), hold)
+	}
+	for i := 0; i < pending; i++ {
+		hold()
+	}
+	// One full turnover first, so the free list holds a recycled Event and
+	// even a short -benchtime measures the steady state.
+	for i := 0; i < pending; i++ {
+		s.Step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Step()
+	}
+}
+
 // BenchmarkFunctionalForwardPass measures the functional tensor runtime on
 // the tiny GPT model the correctness tests execute.
 func BenchmarkFunctionalForwardPass(b *testing.B) {

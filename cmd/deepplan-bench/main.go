@@ -6,6 +6,7 @@
 //	deepplan-bench -list
 //	deepplan-bench -exp fig11
 //	deepplan-bench -exp all [-quick] [-parallel [-workers N]] [-parallel-sim]
+//	deepplan-bench -exp fig15 -quick -cpuprofile cpu.pprof -memprofile mem.pprof
 //
 // With -parallel, independent experiments — and the independent sweep points
 // inside the serving and batching sweeps — run concurrently on a bounded
@@ -16,6 +17,8 @@
 // conservative lookahead. Both knobs keep the tables on stdout
 // byte-identical to a serial run; only wall-clock changes. Timing lines go
 // to stderr, keeping stdout a pure function of the experiment set.
+// -cpuprofile and -memprofile write pprof profiles of the process for
+// `go tool pprof`; they leave stdout unchanged.
 package main
 
 import (
@@ -25,6 +28,7 @@ import (
 	"os"
 	"time"
 
+	"deepplan/internal/cliprof"
 	"deepplan/internal/experiments"
 	"deepplan/internal/experiments/runner"
 )
@@ -44,6 +48,8 @@ func main() {
 	llm := flag.String("llm", "", "fig-llm: batching discipline (continuous | static); empty compares both")
 	prefillDecode := flag.Bool("prefill-decode", false, "fig-llm: disaggregate prefill and decode GPUs")
 	autoscalePolicy := flag.String("autoscale-policy", "", "fig-forecast: controller (reactive | predictive); empty compares both")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of this process to the file")
+	memProfile := flag.String("memprofile", "", "write an allocation profile of this process to the file on exit")
 	flag.Parse()
 
 	if *tracePath != "" && *exp == "all" {
@@ -84,6 +90,11 @@ func main() {
 		exps = []experiments.Experiment{e}
 	}
 
+	stopProfiles, err := cliprof.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "deepplan-bench: %v\n", err)
+		os.Exit(1)
+	}
 	units := make([]runner.Unit, len(exps))
 	for i, e := range exps {
 		e := e
@@ -104,4 +115,8 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "[%d experiment(s) in %s, %d worker(s)]\n",
 		len(units), time.Since(start).Round(time.Millisecond), pool)
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintf(os.Stderr, "deepplan-bench: %v\n", err)
+		os.Exit(1)
+	}
 }

@@ -44,6 +44,9 @@
 // pure function of the flags either way — wall-clock timing goes to stderr
 // — so `deepplan-server -nodes 16 ... | diff - <(deepplan-server -nodes 16
 // ... -parallel-sim)` is empty by construction.
+//
+// -cpuprofile and -memprofile write pprof CPU and allocation profiles of
+// the process for `go tool pprof`; they leave stdout unchanged.
 package main
 
 import (
@@ -55,6 +58,7 @@ import (
 	"time"
 
 	"deepplan"
+	"deepplan/internal/cliprof"
 	"deepplan/internal/sim"
 )
 
@@ -88,6 +92,8 @@ func main() {
 	promptTokens := flag.Int("prompt-tokens", 128, "with -llm: mean prompt length, tokens")
 	outputTokens := flag.Int("output-tokens", 32, "with -llm: mean output length, tokens")
 	tokenBudget := flag.Int("token-budget", 8, "with -llm: decode-batch token budget per iteration")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of this process to the file")
+	memProfile := flag.String("memprofile", "", "write an allocation profile of this process to the file on exit")
 	flag.Parse()
 
 	if *zoo > 0 && *zooPolicy == "" {
@@ -100,6 +106,15 @@ func main() {
 	if err := modeConflicts(*zoo, *autoscale, *autoscalePolicy, *maf, llm); err != nil {
 		fail("%v", err)
 	}
+	stopProfiles, err := cliprof.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fail("%v", err)
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fail("%v", err)
+		}
+	}()
 	if *nodes > 1 || *autoscale || *parallelSim {
 		runCluster(*nodes, *route, *autoscale, *autoscalePolicy, *parallelSim, *policy, *modelName,
 			*instances, *rate, *requests, *sloMs, *maxBatch, *seed, *maf,

@@ -65,9 +65,14 @@ type (
 	Profile = profiler.Profile
 	// Plan is an inference execution plan (per-layer method + partitions).
 	Plan = plan.Plan
-	// RunResult is the outcome of one simulated inference.
+	// RunResult is the outcome of one simulated inference. Timings[i]
+	// records layer i of the model; RunResult.LayerName(i) returns that
+	// layer's name.
 	RunResult = engine.Result
-	// LayerTiming is a per-layer execution record within a RunResult.
+	// LayerTiming is a per-layer execution record within a RunResult. It
+	// carries no layer name, so a run's timings hold no pointers and the
+	// garbage collector never scans them; RunResult.LayerName(t.Index)
+	// gives the name.
 	LayerTiming = engine.LayerTiming
 	// Topology describes a server's GPUs and interconnects.
 	Topology = topology.Topology

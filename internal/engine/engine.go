@@ -18,6 +18,7 @@ package engine
 import (
 	"fmt"
 	"strconv"
+	"strings"
 
 	"deepplan/internal/costmodel"
 	"deepplan/internal/dnn"
@@ -82,6 +83,10 @@ type Engine struct {
 	// models are constructed once and shared across runs, so the cache stays
 	// bounded by the number of distinct models the engine ever serves.
 	names map[*dnn.Model]*modelNames
+	// compute caches each layer's unscaled ComputeTime per (model, batch),
+	// under the same bound. It relies on the cost model being read-only once
+	// the engine is built (see costmodel.Params).
+	compute map[computeKey][]sim.Duration
 
 	// mon holds per-GPU monitoring instruments; nil when monitoring is off.
 	mon *engInstruments
@@ -104,23 +109,39 @@ type modelNames struct {
 	layers        []layerNames
 }
 
-// namesFor returns m's cached task names, building them on first use.
+// namesFor returns m's cached task names, building them on first use. The
+// names are written into one pre-sized strings.Builder and sliced out of it
+// (a Builder only ever appends, so earlier slices stay valid), which makes a
+// fresh engine's first run of a model allocate once for its names rather
+// than four times per layer.
 func (e *Engine) namesFor(m *dnn.Model) *modelNames {
 	if n, ok := e.names[m]; ok {
 		return n
 	}
+	size := len("begin:finish:") + 2*len(m.Name)
+	for i := range m.Layers {
+		size += len("exec:dha:copy:exec-seg:") + 4*len(m.Layers[i].Name)
+	}
+	var b strings.Builder
+	b.Grow(size)
+	name := func(prefix, s string) string {
+		lo := b.Len()
+		b.WriteString(prefix)
+		b.WriteString(s)
+		return b.String()[lo:]
+	}
 	n := &modelNames{
-		begin:  "begin:" + m.Name,
-		finish: "finish:" + m.Name,
+		begin:  name("begin:", m.Name),
+		finish: name("finish:", m.Name),
 		layers: make([]layerNames, m.NumLayers()),
 	}
 	for i := range n.layers {
 		ln := m.Layers[i].Name
 		n.layers[i] = layerNames{
-			exec: "exec:" + ln,
-			dha:  "dha:" + ln,
-			cp:   "copy:" + ln,
-			seg:  "exec-seg:" + ln,
+			exec: name("exec:", ln),
+			dha:  name("dha:", ln),
+			cp:   name("copy:", ln),
+			seg:  name("exec-seg:", ln),
 		}
 	}
 	if e.names == nil {
@@ -128,6 +149,30 @@ func (e *Engine) namesFor(m *dnn.Model) *modelNames {
 	}
 	e.names[m] = n
 	return n
+}
+
+// computeKey identifies one entry of the compute-time cache.
+type computeKey struct {
+	m     *dnn.Model
+	batch int
+}
+
+// computeFor returns the unscaled ComputeTime of every layer of m at the
+// given batch, computing it on first use.
+func (e *Engine) computeFor(m *dnn.Model, batch int) []sim.Duration {
+	k := computeKey{m, batch}
+	if c, ok := e.compute[k]; ok {
+		return c
+	}
+	c := make([]sim.Duration, m.NumLayers())
+	for i := range c {
+		c[i] = e.cost.ComputeTime(&m.Layers[i], batch)
+	}
+	if e.compute == nil {
+		e.compute = make(map[computeKey][]sim.Duration)
+	}
+	e.compute[k] = c
+	return c
 }
 
 // New returns an Engine over the given substrate.
@@ -202,10 +247,11 @@ type Spec struct {
 	OnDone func(*Result)
 }
 
-// LayerTiming records one layer's lifecycle within a run.
+// LayerTiming records one layer's lifecycle within a run. It holds no
+// pointers, so the garbage collector never scans a run's Timings; the
+// layer's name is Result.LayerName(Index).
 type LayerTiming struct {
 	Index     int
-	Name      string
 	Method    plan.Method
 	Partition int
 
@@ -251,7 +297,13 @@ type Result struct {
 	BytesLoaded, BytesDHA, BytesNVLink float64
 	// LoadWindow bounds all PCIe copy activity of this run.
 	LoadWindowStart, LoadWindowEnd sim.Time
+
+	// layers are the run's model layers, backing LayerName.
+	layers []dnn.Layer
 }
+
+// LayerName returns the name of the model layer that Timings[i] records.
+func (r *Result) LayerName(i int) string { return r.layers[i].Name }
 
 // Latency is submission-to-finish time.
 func (r *Result) Latency() sim.Duration { return r.Finish.Sub(r.Submitted) }
@@ -333,8 +385,28 @@ func scaleDur(d sim.Duration, s float64) sim.Duration {
 }
 
 type runState struct {
-	res       *Result
-	remaining int
+	res *Result
+	e   *Engine
+
+	// steps are the run's execution-stream tasks in order; cur indexes the
+	// one in flight and prevDone is when the previous one retired. run,
+	// fire, read and tail are the stream task and callbacks every step
+	// shares (see startStep). hostPath carries DHA reads; compute and scale
+	// price the layers.
+	steps      []execStep
+	cur        int
+	prevDone   sim.Time
+	run        stream.Task
+	fire, tail func()
+	read       func(sim.Time)
+	hostPath   []*simnet.Link
+	compute    []sim.Duration
+	scale      float64
+
+	// copies is the run's transmission slab, one op per transmitted layer
+	// in layer order; lanes feed the ops to their streams (see copyLane).
+	copies []copyOp
+	lanes  []copyLane
 
 	// Fault-abort bookkeeping, used only on failable engines. aborted makes
 	// every not-yet-started task of the run a no-op; awaits holds the run's
@@ -346,41 +418,33 @@ type runState struct {
 	awaits  []*await
 	index   int
 	onDone  func(*Result)
+
+	// task is the blocking point of a StartTask task; runs use their steps'.
+	task await
 }
 
 // await is one cancellable blocking point of a run: a pending timer, an
-// in-flight network flow, or both in sequence. done is the owning stream
-// task's completion callback; cancel undoes whatever is pending. Exactly one
-// of the normal completion (via settle) and the abort path (abortRun) runs.
+// in-flight network flow, or both (a DHA step's compute timer overlaps its
+// reads, and its tail timer follows them). done is the owning stream
+// task's completion callback. timer is cleared when it fires, so an abort
+// never cancels a recycled sim event; aborting a finished flow is a no-op. Exactly one of the normal
+// completion and the abort path (abortRun) runs: a completion marks the
+// await settled so an abort skips it, and once a run is aborted its
+// callbacks return at once. Awaits live in their run's steps, copy ops or
+// task slot; a failable engine also lists them in runState.awaits.
 type await struct {
 	settled bool
 	done    func()
-	cancel  func()
+	timer   *sim.Event
+	flow    *simnet.Flow
 }
 
-// newAwait registers a blocking point for rs. It returns nil on a
-// non-failable engine, keeping the common path allocation-free; settle and
-// the cancel-wiring guards below are nil-safe.
-func (e *Engine) newAwait(rs *runState, done func()) *await {
-	if !e.failable {
-		return nil
+// cancel undoes whatever of aw is still pending.
+func (e *Engine) cancel(aw *await) {
+	e.net.Abort(aw.flow)
+	if aw.timer != nil {
+		e.sim.Cancel(aw.timer)
 	}
-	aw := &await{done: done}
-	rs.awaits = append(rs.awaits, aw)
-	return aw
-}
-
-// settle runs fn, a task's normal completion, unless the await was already
-// aborted. Marking the await settled also tells a later abort to skip it —
-// in particular never to cancel its (recycled) timer event.
-func settle(aw *await, fn func()) {
-	if aw != nil {
-		if aw.settled {
-			return
-		}
-		aw.settled = true
-	}
-	fn()
 }
 
 // track adds rs to the active-run registry (failable engines only).
@@ -477,12 +541,11 @@ func (e *Engine) abortRun(rs *runState) {
 			continue
 		}
 		aw.settled = true
-		if aw.cancel != nil {
-			aw.cancel()
-		}
+		e.cancel(aw)
 		aw.done()
 	}
 	rs.res.Aborted = true
+	rs.recordArrivals()
 	rs.res.Finish = e.sim.Now()
 	e.finalize(rs.res)
 	if rs.onDone != nil {
@@ -490,10 +553,17 @@ func (e *Engine) abortRun(rs *runState) {
 	}
 }
 
+// transmits reports whether layer i is copied to the GPU in this run.
+func transmits(spec *Spec, i int) bool {
+	return !resident(spec, i) && spec.Plan.Layers[i].Method == plan.Load && spec.Model.Layers[i].HasParams()
+}
+
 func (e *Engine) schedule(spec Spec, batch int) {
 	m := spec.Model
 	p := spec.Plan
 	names := e.namesFor(m)
+	compute := e.computeFor(m, batch)
+	scale := spec.ComputeScale
 	primary := e.gpus[spec.Primary]
 	hostPath := e.topo.HostToGPUPath(spec.Primary)
 
@@ -506,298 +576,363 @@ func (e *Engine) schedule(spec Spec, batch int) {
 		Warm:        spec.Warm,
 		Submitted:   e.sim.Now(),
 		Timings:     make([]LayerTiming, m.NumLayers()),
-	}, index: -1, onDone: spec.OnDone}
+		layers:      m.Layers,
+	}, e: e, cur: -1, hostPath: hostPath, compute: compute, scale: scale,
+		index: -1, onDone: spec.OnDone}
 	if e.failable {
 		e.track(rs)
 	}
-	for i := range rs.res.Timings {
-		rs.res.Timings[i] = LayerTiming{
-			Index:     i,
-			Name:      m.Layers[i].Name,
-			Method:    p.Layers[i].Method,
-			Partition: p.Layers[i].Partition,
-		}
+	timings := rs.res.Timings
+	for i := range timings {
+		t := &timings[i]
+		t.Index = i
+		t.Method = p.Layers[i].Method
+		t.Partition = p.Layers[i].Partition
 	}
-
-	baseline := p.Mode == "baseline"
-	availEvents := make([]*stream.Event, m.NumLayers())
-	var lastLoadEvent *stream.Event
 
 	// Phase 1: schedule transmissions.
+	ncopy := 0
 	for i := range m.Layers {
-		l := &m.Layers[i]
-		lp := &p.Layers[i]
-		t := &rs.res.Timings[i]
-		if resident(&spec, i) || lp.Method != plan.Load || !l.HasParams() {
-			continue // nothing to transmit
+		if transmits(&spec, i) {
+			ncopy++
 		}
-		bytes := float64(l.ParamBytes)
-		rs.res.BytesLoaded += bytes
-		if spec.PCM != nil {
-			spec.PCM.AddLoad(bytes)
-		}
-		arrive := stream.NewEvent()
-		if lp.Partition == 0 {
-			e.submitCopy(rs, primary.load, hostPath, bytes, t, names.layers[i].cp)
-			primary.load.Record(arrive)
-			arrive.OnFire(func() { t.AvailAt = arrive.FiredAt() })
-		} else {
-			secID := spec.Secondaries[lp.Partition-1]
-			sec := e.gpus[secID]
-			landed := stream.NewEvent()
-			e.submitCopy(rs, sec.load, e.topo.HostToGPUPath(secID), bytes, t, names.layers[i].cp)
-			sec.load.Record(landed)
-			// Forward over NVLink once landed on the secondary.
+	}
+	if ncopy > 0 {
+		rs.copies = make([]copyOp, ncopy)
+		rs.lanes = make([]copyLane, 2*p.NumParts-1)
+		rs.lanes[0].init(rs, 0, false, hostPath)
+		for part := 1; part < p.NumParts; part++ {
+			secID := spec.Secondaries[part-1]
 			nvPath, _ := e.topo.GPUToGPUPath(secID, spec.Primary)
-			rs.res.BytesNVLink += bytes
-			if spec.PCM != nil {
-				spec.PCM.AddNVLink(bytes)
-			}
-			sec.migration.Wait(landed)
-			e.submitNVLinkCopy(rs, sec.migration, nvPath, bytes)
-			sec.migration.Record(arrive)
-			arrive.OnFire(func() { t.AvailAt = arrive.FiredAt() })
+			rs.lanes[2*part-1].init(rs, part, false, e.topo.HostToGPUPath(secID))
+			rs.lanes[2*part].init(rs, part, true, nvPath)
 		}
-		availEvents[i] = arrive
-		lastLoadEvent = arrive
+	}
+	k := 0
+	for i := range m.Layers {
+		if !transmits(&spec, i) {
+			continue
+		}
+		op := &rs.copies[k]
+		k++
+		part := p.Layers[i].Partition
+		*op = copyOp{layer: i, part: part, bytes: float64(m.Layers[i].ParamBytes), name: names.layers[i].cp}
+		rs.res.BytesLoaded += op.bytes
+		if spec.PCM != nil {
+			spec.PCM.AddLoad(op.bytes)
+		}
+		if part == 0 {
+			primary.load.Submit(op.name, rs.lanes[0].run)
+			primary.load.Record(&op.arrive)
+			continue
+		}
+		sec := e.gpus[spec.Secondaries[part-1]]
+		sec.load.Submit(op.name, rs.lanes[2*part-1].run)
+		sec.load.Record(&op.landed)
+		// Forward over NVLink once landed on the secondary.
+		rs.res.BytesNVLink += op.bytes
+		if spec.PCM != nil {
+			spec.PCM.AddNVLink(op.bytes)
+		}
+		sec.migration.Wait(&op.landed)
+		sec.migration.Submit("forward", rs.lanes[2*part].run)
+		sec.migration.Record(&op.arrive)
 	}
 
-	// Phase 2: schedule execution on the primary GPU.
-	var prevDone sim.Time
-	primary.exec.Do(names.begin, func() {
-		rs.res.ExecBegin = e.sim.Now()
-		prevDone = rs.res.ExecBegin
-	})
-	// plainCompute reports whether layer i needs neither an arrival wait nor
-	// a PCIe flow: it is pure GPU compute. Contiguous plain-compute layers
-	// are coalesced into one stream task — semantically identical (the
-	// durations sum) but far cheaper to simulate, which matters for the
-	// million-request trace replays of Figure 15.
+	// Phase 2: schedule execution on the primary GPU. plainCompute reports
+	// whether layer i needs neither an arrival wait nor a PCIe flow: it is
+	// pure GPU compute. Contiguous plain-compute layers are coalesced into
+	// one step — semantically identical (the durations sum) but far cheaper
+	// to simulate, which matters for the million-request trace replays of
+	// Figure 15.
 	plainCompute := func(i int) bool {
-		l := &m.Layers[i]
-		lp := &p.Layers[i]
-		if lp.Method == plan.DHA && l.HasParams() {
+		if p.Layers[i].Method == plan.DHA && m.Layers[i].HasParams() {
 			return false
 		}
-		if !resident(&spec, i) && lp.Method == plan.Load && l.HasParams() {
-			return false
-		}
-		return true
+		return !transmits(&spec, i)
 	}
-	for i := 0; i < m.NumLayers(); {
+	nsteps := 0
+	for i := range m.Layers {
+		// A step starts at every other layer and at the head of every run
+		// of plain-compute layers.
+		if !plainCompute(i) || i == 0 || !plainCompute(i-1) {
+			nsteps++
+		}
+	}
+	rs.steps = make([]execStep, nsteps)
+	rs.run, rs.fire, rs.read, rs.tail = rs.startStep, rs.onCompute, rs.onRead, rs.onTail
+	primary.exec.Do(names.begin, rs.begin)
+	baseline := p.Mode == "baseline"
+	k = 0 // next copy op, in layer order
+	for i, s := 0, 0; i < m.NumLayers(); s++ {
+		st := &rs.steps[s]
 		if plainCompute(i) {
 			j := i
 			var total sim.Duration
 			for j < m.NumLayers() && plainCompute(j) {
-				total += scaleDur(e.cost.ComputeTime(&m.Layers[j], batch), spec.ComputeScale)
+				total += scaleDur(compute[j], scale)
 				j++
 			}
-			lo, hi := i, j
-			primary.exec.Submit(names.layers[lo].seg, func(done func()) {
-				if rs.aborted {
-					done()
-					return
-				}
-				segStart := e.sim.Now()
-				rs.res.Timings[lo].Stall = segStart.Sub(prevDone)
-				aw := e.newAwait(rs, done)
-				var timer *sim.Event
-				timer = e.sim.After(total, func() {
-					timer = nil
-					settle(aw, func() {
-						// Attribute per-layer windows inside the segment.
-						at := segStart
-						for k := lo; k < hi; k++ {
-							tk := &rs.res.Timings[k]
-							tk.ExecStart = at
-							at = at.Add(scaleDur(e.cost.ComputeTime(&m.Layers[k], batch), spec.ComputeScale))
-							tk.ExecDone = at
-						}
-						prevDone = e.sim.Now()
-						done()
-					})
-				})
-				if aw != nil {
-					aw.cancel = func() {
-						if timer != nil {
-							e.sim.Cancel(timer)
-						}
-					}
-				}
-			})
+			*st = execStep{lo: i, hi: j, d: total}
+			primary.exec.Submit(names.layers[i].seg, rs.run)
 			i = j
 			continue
 		}
-
-		l := &m.Layers[i]
-		lp := &p.Layers[i]
-		t := &rs.res.Timings[i]
-
-		if !resident(&spec, i) && lp.Method == plan.Load && l.HasParams() {
+		if transmits(&spec, i) {
 			if baseline {
-				if lastLoadEvent != nil {
-					primary.exec.Wait(lastLoadEvent)
-				}
-			} else if availEvents[i] != nil {
-				primary.exec.Wait(availEvents[i])
+				primary.exec.Wait(&rs.copies[ncopy-1].arrive)
+			} else {
+				primary.exec.Wait(&rs.copies[k].arrive)
 			}
+			k++
 		}
-		switch {
-		case lp.Method == plan.DHA && l.HasParams():
-			dhaBytes := e.cost.DHABytes(l, batch)
-			rs.res.BytesDHA += dhaBytes
+		*st = execStep{lo: i, hi: i + 1, d: scaleDur(compute[i], scale)}
+		name := names.layers[i].exec
+		if p.Layers[i].Method == plan.DHA {
+			name = names.layers[i].dha
+			st.dha, st.name, st.dhaBytes = true, name, e.cost.DHABytes(&m.Layers[i], batch)
+			rs.res.BytesDHA += st.dhaBytes
 			if spec.PCM != nil {
-				spec.PCM.AddDHA(dhaBytes)
+				spec.PCM.AddDHA(st.dhaBytes)
 			}
-			compute := scaleDur(e.cost.ComputeTime(l, batch), spec.ComputeScale)
-			dhaName := names.layers[i].dha
-			primary.exec.Submit(dhaName, func(done func()) {
-				if rs.aborted {
-					done()
-					return
-				}
-				t.ExecStart = e.sim.Now()
-				t.Stall = t.ExecStart.Sub(prevDone)
-				aw := e.newAwait(rs, done)
-				var fl *simnet.Flow
-				var computeTimer, tailTimer *sim.Event
-				pending := 2
-				finish := func() {
-					pending--
-					if pending != 0 {
-						return
-					}
-					// The fixed DHA penalty lands after compute and reads.
-					tailTimer = e.sim.After(e.cost.DHAFixedOverhead, func() {
-						tailTimer = nil
-						settle(aw, func() {
-							t.ExecDone = e.sim.Now()
-							prevDone = t.ExecDone
-							done()
-						})
-					})
-				}
-				fl = e.net.StartFlow(dhaName, hostPath, dhaBytes, func(sim.Time) { finish() })
-				computeTimer = e.sim.After(compute, func() {
-					computeTimer = nil
-					finish()
-				})
-				if aw != nil {
-					aw.cancel = func() {
-						e.net.Abort(fl) // no-op if the reads already finished
-						if computeTimer != nil {
-							e.sim.Cancel(computeTimer)
-						}
-						if tailTimer != nil {
-							e.sim.Cancel(tailTimer)
-						}
-					}
-				}
-			})
-		default:
-			compute := scaleDur(e.cost.ComputeTime(l, batch), spec.ComputeScale)
-			primary.exec.Submit(names.layers[i].exec, func(done func()) {
-				if rs.aborted {
-					done()
-					return
-				}
-				t.ExecStart = e.sim.Now()
-				t.Stall = t.ExecStart.Sub(prevDone)
-				aw := e.newAwait(rs, done)
-				var timer *sim.Event
-				timer = e.sim.After(compute, func() {
-					timer = nil
-					settle(aw, func() {
-						t.ExecDone = e.sim.Now()
-						prevDone = t.ExecDone
-						done()
-					})
-				})
-				if aw != nil {
-					aw.cancel = func() {
-						if timer != nil {
-							e.sim.Cancel(timer)
-						}
-					}
-				}
-			})
 		}
+		primary.exec.Submit(name, rs.run)
 		i++
 	}
-	primary.exec.Do(names.finish, func() {
-		if rs.aborted {
-			// abortRun already finalized and reported the run.
-			return
-		}
-		e.untrack(rs)
-		rs.res.Finish = e.sim.Now()
-		e.finalize(rs.res)
-		if e.trace != nil {
-			rs.res.EmitTrace(e.trace)
-		}
-		if rs.onDone != nil {
-			rs.onDone(rs.res)
-		}
-	})
+	primary.exec.Do(names.finish, rs.finish)
 }
 
-// submitCopy enqueues a host→GPU copy: fixed per-copy overhead, then a PCIe
-// flow. Timing is captured into t; name is the cached "copy:<layer>" label.
-func (e *Engine) submitCopy(rs *runState, ld *stream.Stream, path []*simnet.Link, bytes float64, t *LayerTiming, name string) {
-	ld.Submit(name, func(done func()) {
-		if rs.aborted {
-			done()
-			return
-		}
-		t.LoadStart = e.sim.Now()
-		aw := e.newAwait(rs, done)
-		var timer *sim.Event
-		var fl *simnet.Flow
-		timer = e.sim.After(sim.Duration(e.topo.PerCopyOverheadNanos), func() {
-			timer = nil
-			fl = e.net.StartFlow(name, path, bytes, func(at sim.Time) {
-				settle(aw, func() {
-					t.LoadDone = at
-					done()
-				})
-			})
-		})
-		if aw != nil {
-			aw.cancel = func() {
-				if timer != nil {
-					e.sim.Cancel(timer)
-				}
-				e.net.Abort(fl)
-			}
-		}
-	})
+// execStep is one task of a run on the primary GPU's execution stream:
+// either compute over layers [lo, hi) taking d, or (dha set) the single
+// DHA layer lo, whose compute d overlaps a PCIe read of dhaBytes and is
+// followed by the fixed DHA overhead.
+type execStep struct {
+	lo, hi int
+	d      sim.Duration
+	start  sim.Time
+
+	dha      bool
+	name     string // DHA read flow name, the cached "dha:<layer>"
+	dhaBytes float64
+	pending  int // DHA: compute and reads still outstanding
+	aw       await
 }
 
-// submitNVLinkCopy enqueues a GPU→GPU forwarding copy on a migration stream.
-func (e *Engine) submitNVLinkCopy(rs *runState, mig *stream.Stream, path []*simnet.Link, bytes float64) {
-	mig.Submit("forward", func(done func()) {
-		if rs.aborted {
-			done()
-			return
+// begin is the run's first execution-stream task.
+func (rs *runState) begin() {
+	rs.res.ExecBegin = rs.e.sim.Now()
+	rs.prevDone = rs.res.ExecBegin
+}
+
+// startStep is the stream task of every step: the execution stream runs a
+// run's steps one at a time in order, so it moves the cursor to the next
+// step and starts it, and the callbacks below always belong to that step.
+func (rs *runState) startStep(done func()) {
+	rs.cur++
+	if rs.aborted {
+		done()
+		return
+	}
+	e, st := rs.e, &rs.steps[rs.cur]
+	st.aw.done = done
+	if e.failable {
+		rs.awaits = append(rs.awaits, &st.aw)
+	}
+	st.start = e.sim.Now()
+	rs.res.Timings[st.lo].Stall = st.start.Sub(rs.prevDone)
+	if st.dha {
+		st.pending = 2
+		st.aw.flow = e.net.StartFlow(st.name, rs.hostPath, st.dhaBytes, rs.read)
+	}
+	st.aw.timer = e.sim.After(st.d, rs.fire)
+}
+
+// onCompute ends a step's compute. A compute step is done: each of its
+// layers gets its window in order.
+func (rs *runState) onCompute() {
+	if rs.aborted {
+		return
+	}
+	st := &rs.steps[rs.cur]
+	st.aw.timer = nil
+	if st.dha {
+		rs.dhaPartDone(st)
+		return
+	}
+	st.aw.settled = true
+	at := st.start
+	for k := st.lo; k < st.hi; k++ {
+		t := &rs.res.Timings[k]
+		t.ExecStart = at
+		at = at.Add(scaleDur(rs.compute[k], rs.scale))
+		t.ExecDone = at
+	}
+	rs.prevDone = rs.e.sim.Now()
+	st.aw.done()
+}
+
+// onRead ends a DHA step's PCIe reads.
+func (rs *runState) onRead(sim.Time) {
+	if rs.aborted {
+		return
+	}
+	rs.dhaPartDone(&rs.steps[rs.cur])
+}
+
+// dhaPartDone counts down a DHA step's compute and reads; once both are
+// done, the fixed DHA penalty follows.
+func (rs *runState) dhaPartDone(st *execStep) {
+	st.pending--
+	if st.pending == 0 {
+		// The compute timer has fired, so the tail reuses its slot.
+		st.aw.timer = rs.e.sim.After(rs.e.cost.DHAFixedOverhead, rs.tail)
+	}
+}
+
+// onTail ends a DHA step.
+func (rs *runState) onTail() {
+	if rs.aborted {
+		return
+	}
+	st := &rs.steps[rs.cur]
+	st.aw.timer = nil
+	st.aw.settled = true
+	t := &rs.res.Timings[st.lo]
+	t.ExecStart = st.start
+	t.ExecDone = rs.e.sim.Now()
+	rs.prevDone = t.ExecDone
+	st.aw.done()
+}
+
+// finish is the run's last execution-stream task.
+func (rs *runState) finish() {
+	if rs.aborted {
+		// abortRun already finalized and reported the run.
+		return
+	}
+	e := rs.e
+	e.untrack(rs)
+	rs.res.Finish = e.sim.Now()
+	rs.recordArrivals()
+	e.finalize(rs.res)
+	if e.trace != nil {
+		rs.res.EmitTrace(e.trace)
+	}
+	if rs.onDone != nil {
+		rs.onDone(rs.res)
+	}
+}
+
+// copyOp is one transmitted layer of a run: a host→GPU copy onto its
+// partition's GPU and, for a secondary partition, the NVLink forward to the
+// primary. Each step is a fixed per-copy overhead, then a network flow.
+type copyOp struct {
+	layer int
+	part  int
+	bytes float64
+	name  string // cached "copy:<layer>" task and flow name
+	// landed fires when a secondary partition's copy is done; arrive fires
+	// when the layer is usable on the primary GPU.
+	landed, arrive stream.Event
+	// load and fwd are the copy's and the forward's blocking points.
+	load, fwd await
+}
+
+// copyLane feeds one stream the copy steps of one run's ops: the primary's
+// load stream (lane 0), or for partition p ≥ 1 the secondary's load stream
+// (lane 2p-1) and its migration stream (lane 2p, forward steps). A stream
+// runs its tasks one at a time in submission order, so every callback of a
+// lane belongs to the op at its cursor, and three closures per lane serve
+// all its ops.
+type copyLane struct {
+	rs      *runState
+	part    int
+	forward bool
+	path    []*simnet.Link
+	cur     int // index into rs.copies of the op in flight
+	run     stream.Task
+	fire    func()
+	land    func(sim.Time)
+}
+
+// init sets up a lane of rs and binds its three callbacks.
+func (l *copyLane) init(rs *runState, part int, forward bool, path []*simnet.Link) {
+	*l = copyLane{rs: rs, part: part, forward: forward, path: path, cur: -1}
+	l.run, l.fire, l.land = l.start, l.onTimer, l.onFlow
+}
+
+// step returns the in-flight op's blocking point on this lane.
+func (l *copyLane) step() (*copyOp, *await) {
+	op := &l.rs.copies[l.cur]
+	if l.forward {
+		return op, &op.fwd
+	}
+	return op, &op.load
+}
+
+// start is the stream task: it moves the cursor to the lane's next op and
+// starts that op's overhead timer.
+func (l *copyLane) start(done func()) {
+	rs := l.rs
+	for l.cur++; rs.copies[l.cur].part != l.part; l.cur++ {
+	}
+	if rs.aborted {
+		done()
+		return
+	}
+	e := rs.e
+	op, aw := l.step()
+	aw.done = done
+	if e.failable {
+		rs.awaits = append(rs.awaits, aw)
+	}
+	overhead := e.topo.PerCopyOverheadNanos
+	if l.forward {
+		overhead = e.topo.NVLinkCopyOverheadNanos
+	} else {
+		rs.res.Timings[op.layer].LoadStart = e.sim.Now()
+	}
+	aw.timer = e.sim.After(sim.Duration(overhead), l.fire)
+}
+
+// onTimer ends the overhead and starts the op's flow.
+func (l *copyLane) onTimer() {
+	if l.rs.aborted {
+		return
+	}
+	op, aw := l.step()
+	aw.timer = nil
+	name := op.name
+	if l.forward {
+		name = "forward"
+	}
+	aw.flow = l.rs.e.net.StartFlow(name, l.path, op.bytes, l.land)
+}
+
+// onFlow completes the step when its flow's last byte arrives.
+func (l *copyLane) onFlow(at sim.Time) {
+	if l.rs.aborted {
+		return
+	}
+	op, aw := l.step()
+	aw.settled = true
+	if !l.forward {
+		l.rs.res.Timings[op.layer].LoadDone = at
+	}
+	aw.done()
+}
+
+// recordArrivals fills AvailAt for every copied layer whose arrival event
+// has fired. It runs when the run finishes, by which point every arrival of
+// a completed run has fired, or when it aborts, leaving AvailAt zero for
+// layers still in flight.
+func (rs *runState) recordArrivals() {
+	for i := range rs.copies {
+		op := &rs.copies[i]
+		if op.arrive.Fired() {
+			rs.res.Timings[op.layer].AvailAt = op.arrive.FiredAt()
 		}
-		aw := e.newAwait(rs, done)
-		var timer *sim.Event
-		var fl *simnet.Flow
-		timer = e.sim.After(sim.Duration(e.topo.NVLinkCopyOverheadNanos), func() {
-			timer = nil
-			fl = e.net.StartFlow("forward", path, bytes, func(sim.Time) {
-				settle(aw, done)
-			})
-		})
-		if aw != nil {
-			aw.cancel = func() {
-				if timer != nil {
-					e.sim.Cancel(timer)
-				}
-				e.net.Abort(fl)
-			}
-		}
-	})
+	}
 }
 
 // finalize derives the aggregate result fields from per-layer timings.
@@ -844,7 +979,7 @@ func (r *Result) EmitTrace(rec *trace.Recorder) {
 	for i := range r.Timings {
 		t := &r.Timings[i]
 		if t.ExecDone > t.ExecStart {
-			rec.SpanArgs(r.Primary, trace.TIDExec, "exec", t.Name, t.ExecStart, t.ExecDone,
+			rec.SpanArgs(r.Primary, trace.TIDExec, "exec", r.LayerName(i), t.ExecStart, t.ExecDone,
 				map[string]any{
 					"method":    t.Method.String(),
 					"stall_us":  float64(t.Stall) / 1e3,
@@ -856,12 +991,12 @@ func (r *Result) EmitTrace(rec *trace.Recorder) {
 			if t.Partition > 0 && t.Partition-1 < len(r.Secondaries) {
 				loadGPU = r.Secondaries[t.Partition-1]
 			}
-			rec.Span(loadGPU, trace.TIDLoad, "load", "copy "+t.Name, t.LoadStart, t.LoadDone)
+			rec.Span(loadGPU, trace.TIDLoad, "load", "copy "+r.LayerName(i), t.LoadStart, t.LoadDone)
 		}
 		if t.Partition > 0 && t.LoadDone > 0 && t.AvailAt > t.LoadDone &&
 			t.Partition-1 < len(r.Secondaries) {
 			rec.Span(r.Secondaries[t.Partition-1], trace.TIDMigrate, "migrate",
-				"forward "+t.Name, t.LoadDone, t.AvailAt)
+				"forward "+r.LayerName(i), t.LoadDone, t.AvailAt)
 		}
 	}
 }
@@ -900,19 +1035,19 @@ func (e *Engine) StartTask(gpu int, name string, d sim.Duration, onDone func(*Re
 			return
 		}
 		rs.res.ExecBegin = e.sim.Now()
-		aw := e.newAwait(rs, done)
-		var timer *sim.Event
-		timer = e.sim.After(d, func() {
-			timer = nil
-			settle(aw, done)
-		})
-		if aw != nil {
-			aw.cancel = func() {
-				if timer != nil {
-					e.sim.Cancel(timer)
-				}
-			}
+		aw := &rs.task
+		aw.done = done
+		if e.failable {
+			rs.awaits = append(rs.awaits, aw)
 		}
+		aw.timer = e.sim.After(d, func() {
+			if rs.aborted {
+				return
+			}
+			aw.timer = nil
+			aw.settled = true
+			done()
+		})
 	})
 	ex.Do(name, func() {
 		if rs.aborted {

@@ -20,6 +20,19 @@ func failableFixture(t *testing.T, name string) (*fixture, *sim.Simulator, *Engi
 	return f, s, e
 }
 
+// failNow fails gpu and checks that the abort cancelled every pending timer
+// and network flow: with one run in flight, nothing may remain queued.
+func failNow(t *testing.T, s *sim.Simulator, e *Engine, gpu int) {
+	t.Helper()
+	e.FailGPU(gpu)
+	if n := e.net.ActiveFlows(); n != 0 {
+		t.Errorf("%d flows still active after the abort", n)
+	}
+	if n := s.Pending(); n != 0 {
+		t.Errorf("%d events still pending after the abort", n)
+	}
+}
+
 func TestFailGPUAbortsColdRunMidLoad(t *testing.T) {
 	f, s, e := failableFixture(t, "bert-base")
 	var res *Result
@@ -31,7 +44,7 @@ func TestFailGPUAbortsColdRunMidLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	// BERT-Base cold loads take tens of milliseconds; fail 5 ms in.
-	s.At(sim.Time(5*sim.Millisecond), func() { e.FailGPU(1) })
+	s.At(sim.Time(5*sim.Millisecond), func() { failNow(t, s, e, 1) })
 	s.Run()
 	if res == nil {
 		t.Fatal("OnDone never fired for the aborted run")
@@ -64,7 +77,7 @@ func TestFailSecondaryAbortsParallelRunAndPrimaryDrains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.At(sim.Time(2*sim.Millisecond), func() { e.FailGPU(2) })
+	s.At(sim.Time(2*sim.Millisecond), func() { failNow(t, s, e, 2) })
 	s.Run()
 	if res == nil || !res.Aborted {
 		t.Fatal("run using the failed secondary did not abort")
@@ -95,7 +108,7 @@ func TestFailGPUAbortsWarmRun(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	s.At(sim.Time(sim.Millisecond), func() { e.FailGPU(3) })
+	s.At(sim.Time(sim.Millisecond), func() { failNow(t, s, e, 3) })
 	s.Run()
 	if res == nil || !res.Aborted {
 		t.Fatal("warm run on the failed GPU did not abort")

@@ -92,7 +92,7 @@ func Render(w io.Writer, res *engine.Result, opts Options) error {
 			}
 			paint(t.ExecStart, t.ExecDone, '#')
 		}
-		label := res.Timings[lo].Name
+		label := res.LayerName(lo)
 		if hi-lo > 1 {
 			label = fmt.Sprintf("%s..%d", truncate(label, 18), hi-1)
 		}

@@ -9,7 +9,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"time"
@@ -63,7 +62,6 @@ func (t Time) String() string { return Duration(t).String() }
 // traces from churning the garbage collector.
 type Event struct {
 	at    Time
-	seq   uint64
 	fn    func()
 	index int // heap index, -1 when not queued
 }
@@ -74,43 +72,33 @@ func (e *Event) At() Time { return e.at }
 // Scheduled reports whether the event is still pending.
 func (e *Event) Scheduled() bool { return e.index >= 0 }
 
-type eventHeap []*Event
+// entry is one heap slot. The ordering key is stored by value beside the
+// event pointer, so sifting compares entries without dereferencing them.
+type entry struct {
+	at  Time
+	seq uint64
+	ev  *Event
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+// before is the queue's total order: earlier instant first, then earlier
+// submission. Sequence numbers are unique, so no two entries tie and the
+// firing order is independent of the heap's shape.
+func (a *entry) before(b *entry) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
 // Simulator is a discrete-event scheduler with a virtual clock.
 // The zero value is not usable; call New.
+//
+// Pending events live in a 4-ary min-heap of entries ordered by (at, seq).
+// A 4-ary heap is half as deep as a binary one, and a pop's four child
+// comparisons read one contiguous run of entries.
 type Simulator struct {
-	now    Time
-	events eventHeap
-	seq    uint64
-	fired  uint64
-	free   []*Event // recycled Event objects (see Event)
+	now   Time
+	heap  []entry
+	seq   uint64
+	fired uint64
+	free  []*Event // recycled Event objects (see Event)
 }
 
 // New returns a Simulator with the clock at zero and no pending events.
@@ -124,7 +112,7 @@ func (s *Simulator) Now() Time { return s.now }
 func (s *Simulator) EventsFired() uint64 { return s.fired }
 
 // Pending returns the number of events waiting to fire.
-func (s *Simulator) Pending() int { return len(s.events) }
+func (s *Simulator) Pending() int { return len(s.heap) }
 
 // At schedules fn to run at instant t. Scheduling in the past panics: it is
 // always a logic error in the layers above, and silently reordering time
@@ -141,12 +129,13 @@ func (s *Simulator) At(t Time, fn func()) *Event {
 		e = s.free[k]
 		s.free[k] = nil
 		s.free = s.free[:k]
-		e.at, e.seq, e.fn, e.index = t, s.seq, fn, -1
+		e.at, e.fn = t, fn
 	} else {
-		e = &Event{at: t, seq: s.seq, fn: fn, index: -1}
+		e = &Event{at: t, fn: fn}
 	}
+	s.heap = append(s.heap, entry{at: t, seq: s.seq, ev: e})
 	s.seq++
-	heap.Push(&s.events, e)
+	s.up(len(s.heap) - 1)
 	return e
 }
 
@@ -161,7 +150,7 @@ func (s *Simulator) Cancel(e *Event) {
 	if e == nil || e.index < 0 {
 		return
 	}
-	heap.Remove(&s.events, e.index)
+	s.remove(e.index)
 	e.fn = nil
 	s.free = append(s.free, e)
 }
@@ -169,10 +158,11 @@ func (s *Simulator) Cancel(e *Event) {
 // Step fires the earliest pending event and advances the clock to it.
 // It reports whether an event was fired.
 func (s *Simulator) Step() bool {
-	if len(s.events) == 0 {
+	if len(s.heap) == 0 {
 		return false
 	}
-	e := heap.Pop(&s.events).(*Event)
+	e := s.heap[0].ev
+	s.remove(0)
 	s.now = e.at
 	s.fired++
 	fn := e.fn
@@ -193,7 +183,7 @@ func (s *Simulator) Run() {
 // RunUntil fires events with timestamps <= t, then sets the clock to t.
 // Events scheduled for after t remain pending.
 func (s *Simulator) RunUntil(t Time) {
-	for len(s.events) > 0 && s.events[0].at <= t {
+	for len(s.heap) > 0 && s.heap[0].at <= t {
 		s.Step()
 	}
 	if t > s.now {
@@ -210,7 +200,7 @@ func (s *Simulator) RunUntil(t Time) {
 // internal ones. A t at or before Now fires nothing and leaves the clock
 // unchanged.
 func (s *Simulator) AdvanceTo(t Time) {
-	for len(s.events) > 0 && s.events[0].at < t {
+	for len(s.heap) > 0 && s.heap[0].at < t {
 		s.Step()
 	}
 	if t > s.now {
@@ -221,8 +211,76 @@ func (s *Simulator) AdvanceTo(t Time) {
 // PeekTime returns the timestamp of the earliest pending event. ok is false
 // when no events are pending.
 func (s *Simulator) PeekTime() (t Time, ok bool) {
-	if len(s.events) == 0 {
+	if len(s.heap) == 0 {
 		return 0, false
 	}
-	return s.events[0].at, true
+	return s.heap[0].at, true
+}
+
+// remove deletes the entry at heap index i and marks its event unqueued.
+func (s *Simulator) remove(i int) {
+	h := s.heap
+	h[i].ev.index = -1
+	last := len(h) - 1
+	if i != last {
+		h[i] = h[last]
+		h[i].ev.index = i
+	}
+	h[last] = entry{}
+	s.heap = h[:last]
+	if i != last && !s.down(i) && i > 0 {
+		s.up(i)
+	}
+}
+
+// up sifts the entry at index i toward the root, moving parents down into
+// the hole and writing the entry once at its final slot.
+func (s *Simulator) up(i int) {
+	h := s.heap
+	x := h[i]
+	for i > 0 {
+		p := (i - 1) / 4
+		if !x.before(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		h[i].ev.index = i
+		i = p
+	}
+	h[i] = x
+	x.ev.index = i
+}
+
+// down sifts the entry at index i toward the leaves and reports whether it
+// moved.
+func (s *Simulator) down(i0 int) bool {
+	h := s.heap
+	n := len(h)
+	x := h[i0]
+	i := i0
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		end := c + 4
+		if end > n {
+			end = n
+		}
+		for k := c + 1; k < end; k++ {
+			if h[k].before(&h[m]) {
+				m = k
+			}
+		}
+		if !h[m].before(&x) {
+			break
+		}
+		h[i] = h[m]
+		h[i].ev.index = i
+		i = m
+	}
+	h[i] = x
+	x.ev.index = i
+	return i > i0
 }

@@ -3,14 +3,15 @@
 # trajectory (ns/op, B/op, allocs/op) is tracked from PR to PR.
 #
 # Usage:
-#   scripts/bench.sh                 # defaults: substrate set, -benchtime 2x
+#   scripts/bench.sh                 # defaults: the scripts/bench_set.sh set, -benchtime 2x
 #   BENCH_TIME=10x scripts/bench.sh  # more iterations for stabler numbers
 #   BENCH_PATTERN='BenchmarkSimnet.*' scripts/bench.sh
 #   BENCH_DATE=2026-08-06 scripts/bench.sh  # pin the snapshot name
 set -euo pipefail
 cd "$(dirname "$0")/.."
+source scripts/bench_set.sh
 
-pattern=${BENCH_PATTERN:-'^(BenchmarkMaxMinRates|BenchmarkSimnetFairShare|BenchmarkColdStartSimulation|BenchmarkWarmInferenceSimulation|BenchmarkServingThousandRequests|BenchmarkServingThousandRequestsMonitored|BenchmarkHistogramRecord|BenchmarkProfileBERTBase|BenchmarkPlanAlgorithm1|BenchmarkFunctionalForwardPass|BenchmarkClusterSixteenNodes|BenchmarkClusterSixteenNodesParallel|BenchmarkClusterHundredNodes|BenchmarkClusterHundredNodesParallel|BenchmarkZooPinnedCacheLookup|BenchmarkForecastObserve)$'}
+pattern=${BENCH_PATTERN:-$bench_default_pattern}
 benchtime=${BENCH_TIME:-2x}
 out="BENCH_${BENCH_DATE:-$(date +%Y-%m-%d)}.json"
 
@@ -21,7 +22,9 @@ echo "$raw"
   printf '{\n'
   printf '  "date": "%s",\n' "${BENCH_DATE:-$(date +%Y-%m-%d)}"
   printf '  "go": "%s",\n' "$(go env GOVERSION)"
-  printf '  "cpus": %s,\n' "$(nproc 2>/dev/null || echo 1)"
+  printf '  "cpu_model": "%s",\n' "$(bench_cpu_model)"
+  printf '  "cpus": %s,\n' "$(bench_cpus)"
+  printf '  "gomaxprocs": %s,\n' "$(bench_gomaxprocs)"
   printf '  "benchtime": "%s",\n' "$benchtime"
   printf '  "benchmarks": [\n'
   echo "$raw" | awk '

@@ -9,17 +9,22 @@
 # minimum ns/op is compared, so only regressions that survive the best of N
 # runs fail the gate; allocs/op is deterministic and compared directly.
 #
+# Timings only compare on the same host: when the snapshot's CPU model, CPU
+# count or GOMAXPROCS differ from this host's, the ns/op gate is skipped
+# (with a message) and only allocs/op is gated.
+#
 # Usage:
 #   scripts/bench_compare.sh
 #   BENCH_THRESHOLD=25 scripts/bench_compare.sh   # looser gate
 #   BENCH_TIME=10x scripts/bench_compare.sh       # stabler timing numbers
 set -euo pipefail
 cd "$(dirname "$0")/.."
+source scripts/bench_set.sh
 
 threshold=${BENCH_THRESHOLD:-15}
 benchtime=${BENCH_TIME:-2x}
 count=${BENCH_COUNT:-3}
-pattern=${BENCH_PATTERN:-'^(BenchmarkMaxMinRates|BenchmarkSimnetFairShare|BenchmarkColdStartSimulation|BenchmarkWarmInferenceSimulation|BenchmarkServingThousandRequests|BenchmarkServingThousandRequestsMonitored|BenchmarkHistogramRecord|BenchmarkProfileBERTBase|BenchmarkPlanAlgorithm1|BenchmarkFunctionalForwardPass|BenchmarkClusterSixteenNodes|BenchmarkClusterSixteenNodesParallel|BenchmarkClusterHundredNodes|BenchmarkClusterHundredNodesParallel|BenchmarkZooPinnedCacheLookup|BenchmarkForecastObserve)$'}
+pattern=${BENCH_PATTERN:-$bench_default_pattern}
 
 baseline=$(git ls-files 'BENCH_*.json' | sort | tail -1)
 if [ -z "$baseline" ]; then
@@ -28,9 +33,24 @@ if [ -z "$baseline" ]; then
 fi
 echo "bench_compare: baseline $baseline, threshold ${threshold}%, benchtime $benchtime, best of $count"
 
+# snap_field reads one top-level field of the snapshot ("?" when absent).
+snap_field() {
+  local v
+  v=$(sed -n -E "s/^  \"$1\": \"?([^\"]*[^\",])\"?,?$/\1/p" "$baseline" | head -1)
+  echo "${v:-?}"
+}
+here="$(bench_cpu_model), $(bench_cpus) CPUs, GOMAXPROCS $(bench_gomaxprocs)"
+there="$(snap_field cpu_model), $(snap_field cpus) CPUs, GOMAXPROCS $(snap_field gomaxprocs)"
+gate_ns=1
+if [ "$here" != "$there" ]; then
+  gate_ns=0
+  echo "bench_compare: $baseline comes from another host ($there; this host: $here):"
+  echo "bench_compare: skipping the ns/op gate, gating allocs/op only"
+fi
+
 raw=$(go test -run '^$' -bench "$pattern" -benchmem -benchtime "$benchtime" -count "$count" .)
 
-echo "$raw" | awk -v threshold="$threshold" -v baseline="$baseline" '
+echo "$raw" | awk -v threshold="$threshold" -v baseline="$baseline" -v gate_ns="$gate_ns" '
   BEGIN {
     # Pull {name, ns_per_op, allocs_per_op} out of the snapshot; each
     # benchmark is one line of flat JSON written by scripts/bench.sh.
@@ -71,7 +91,7 @@ echo "$raw" | awk -v threshold="$threshold" -v baseline="$baseline" '
       dns = pct(fresh_ns[name], base_ns[name])
       dal = pct(fresh_al[name], base_al[name])
       flag = ""
-      if (dns > threshold || dal > threshold) { flag = "  REGRESSION"; fail = 1 }
+      if ((gate_ns && dns > threshold) || dal > threshold) { flag = "  REGRESSION"; fail = 1 }
       printf "%-36s %14d %14d %+7.1f%% %10d %+7.1f%%%s\n", name, base_ns[name], fresh_ns[name], dns, fresh_al[name], dal, flag
     }
     for (name in base_ns) if (!(name in seen))
