@@ -303,11 +303,8 @@ func benchServingThousand(b *testing.B, traced, monitored bool) {
 }
 
 // benchCluster replays a Poisson workload over an n-node cluster at the
-// least-outstanding routing point, one BERT-Base replica per node. The
-// parallel flag selects the per-node event-queue driver; both variants are
-// benchmarked so the conservative-lookahead synchronization cost (and any
-// speedup on multi-core hosts) stays a tracked number.
-func benchCluster(b *testing.B, nodes int, parallel bool) {
+// least-outstanding routing point, one BERT-Base replica per node.
+func benchCluster(b *testing.B, nodes int) {
 	b.Helper()
 	platform := deepplan.NewP38xlarge()
 	m, err := deepplan.LoadModel("bert-base")
@@ -320,9 +317,8 @@ func benchCluster(b *testing.B, nodes int, parallel bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c, err := platform.NewCluster(deepplan.ClusterOptions{
-			Nodes:    nodes,
-			Route:    deepplan.RouteLeastOutstanding,
-			Parallel: parallel,
+			Nodes: nodes,
+			Route: deepplan.RouteLeastOutstanding,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -337,20 +333,12 @@ func benchCluster(b *testing.B, nodes int, parallel bool) {
 	}
 }
 
-// BenchmarkClusterSixteenNodes is the ISSUE's headline configuration: the
-// fig-cluster node count on the shared serial clock.
-func BenchmarkClusterSixteenNodes(b *testing.B) { benchCluster(b, 16, false) }
-
-// BenchmarkClusterSixteenNodesParallel runs the same configuration with
-// per-node event queues on goroutines (ClusterOptions.Parallel).
-func BenchmarkClusterSixteenNodesParallel(b *testing.B) { benchCluster(b, 16, true) }
+// BenchmarkClusterSixteenNodes runs fig-cluster's node count.
+func BenchmarkClusterSixteenNodes(b *testing.B) { benchCluster(b, 16) }
 
 // BenchmarkClusterHundredNodes scales the node count past the paper's
 // largest configuration to expose super-linear router costs.
-func BenchmarkClusterHundredNodes(b *testing.B) { benchCluster(b, 100, false) }
-
-// BenchmarkClusterHundredNodesParallel is the parallel-driver variant.
-func BenchmarkClusterHundredNodesParallel(b *testing.B) { benchCluster(b, 100, true) }
+func BenchmarkClusterHundredNodes(b *testing.B) { benchCluster(b, 100) }
 
 // BenchmarkHistogramRecord measures the monitoring hot path: one histogram
 // observation on a pre-resolved handle (bucket index via float-bit

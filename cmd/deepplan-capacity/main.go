@@ -11,7 +11,7 @@
 //	deepplan-capacity [-slo 300ms] [-target-rps 100] [-budget 15]
 //	                  [-workload poisson|maf] [-skew 1.0]
 //	                  [-autoscale [-autoscale-policy reactive|predictive]]
-//	                  [-json] [-quick] [-parallel [-workers N]] [-parallel-sim]
+//	                  [-json] [-quick] [-parallel [-workers N]]
 //	                  [-metrics out.prom]
 //
 // -autoscale adds autoscaled variants of every grid entry, one per replica
@@ -26,10 +26,7 @@
 //
 // Stdout is a pure function of the flags: the table (or, with -json, the
 // plan document) is byte-identical serially, with -parallel, and across
-// reruns. -parallel fans independent grid points across a worker pool;
-// -parallel-sim additionally runs each probed cluster with one event queue
-// per node on its own goroutine (conservative lookahead, byte-identical to
-// the serial clock). The two compose.
+// reruns. -parallel fans independent grid points across a worker pool.
 package main
 
 import (
@@ -64,7 +61,6 @@ func main() {
 	quick := flag.Bool("quick", false, "shrink the search for a fast smoke pass")
 	parallel := flag.Bool("parallel", false, "saturate independent grid points concurrently")
 	workers := flag.Int("workers", 0, "worker pool size for -parallel (default GOMAXPROCS)")
-	parallelSim := flag.Bool("parallel-sim", false, "run each probed cluster with per-node event queues on separate goroutines (byte-identical output)")
 	metricsPath := flag.String("metrics", "", "re-run the recommended configuration with full monitoring and write its OpenMetrics exposition here")
 	zoo := flag.Int("zoo", 0, "plan for an N-variant model zoo instead of -model/-replicas (dense packing + host cache)")
 	zooPolicy := flag.String("zoo-policy", "", "host-memory cache policy for -zoo: lru | cost (default lru)")
@@ -86,7 +82,6 @@ func main() {
 		Replicas:      *replicas,
 		MaxRate:       *maxRate,
 		Step:          *step,
-		Parallel:      *parallelSim,
 		Zoo:           *zoo,
 		ZooPolicy:     *zooPolicy,
 	}

@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -20,7 +21,6 @@ import (
 	"deepplan"
 	"deepplan/internal/gantt"
 	"deepplan/internal/plan"
-	"deepplan/internal/tracefmt"
 )
 
 func main() {
@@ -96,7 +96,7 @@ func main() {
 		if err != nil {
 			fail("%v", err)
 		}
-		if err := tracefmt.Write(f, res); err != nil {
+		if err := writeTrace(f, res); err != nil {
 			fail("%v", err)
 		}
 		if err := f.Close(); err != nil {
@@ -157,6 +157,19 @@ func parseRange(s string, n int) (int, int, error) {
 		return 0, 0, fmt.Errorf("range %d:%d out of bounds [0,%d)", lo, hi, n)
 	}
 	return lo, hi, nil
+}
+
+// writeTrace exports one cold start's timeline as Chrome trace JSON. Each
+// participating GPU becomes its own process with exec, load and migrate
+// tracks, so a parallel-transmission plan shows the secondary GPU's copies
+// and NVLink forwards beside the primary's execution.
+func writeTrace(w io.Writer, res *deepplan.RunResult) error {
+	rec := deepplan.NewTraceRecorder()
+	res.EmitTrace(rec)
+	return deepplan.WriteTrace(w, rec, map[string]string{
+		"model": res.Model,
+		"mode":  res.Mode,
+	})
 }
 
 func fail(format string, args ...any) {

@@ -116,38 +116,6 @@ func TestSweepByteIdenticalSerialParallel(t *testing.T) {
 	}
 }
 
-// The saturation oracle must not notice how its clusters are clocked: a
-// sweep whose probes run with per-node event queues on goroutines
-// (SearchSpec.Parallel) must render the byte-identical plan, including
-// when the probes themselves fan across the worker pool.
-func TestSweepByteIdenticalWithParallelSim(t *testing.T) {
-	space := DefaultSpace()
-	render := func(spec SearchSpec, workers int) (string, string) {
-		res, err := Sweep(space, spec, DefaultPricing(), workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan := Analyze(spec, res, 60, 0)
-		var j, tbl bytes.Buffer
-		if err := plan.WriteJSON(&j); err != nil {
-			t.Fatal(err)
-		}
-		plan.WriteTable(&tbl)
-		return j.String(), tbl.String()
-	}
-	serialSpec := testSpec()
-	parallelSpec := testSpec()
-	parallelSpec.Parallel = true
-	j1, t1 := render(serialSpec, 1)
-	j2, t2 := render(parallelSpec, 4)
-	if j1 != j2 {
-		t.Fatalf("JSON plan differs with parallel-sim probes:\n--- serial ---\n%s\n--- parallel-sim ---\n%s", j1, j2)
-	}
-	if t1 != t2 {
-		t.Fatalf("table differs with parallel-sim probes:\n--- serial ---\n%s\n--- parallel-sim ---\n%s", t1, t2)
-	}
-}
-
 // TestDeepPlanBeatsPipeSwitch asserts the paper's headline shape at the
 // capacity level: on identical hardware under the same SLO, pt+dha sustains
 // strictly more load — and therefore strictly more load per dollar — than

@@ -177,8 +177,7 @@ type Config struct {
 	AdmitFactor float64
 	// Monitor, when non-nil, streams the whole cluster into one dimensional
 	// metrics registry: each node records through a Registry.Node view
-	// carrying a node label (so the parallel simulator's per-node goroutines
-	// never share storage), and the router adds routing, autoscaling, and
+	// carrying a node label, and the router adds routing, autoscaling, and
 	// sim-clock series at the cluster level. Observation-only.
 	Monitor *monitor.Registry
 	// Alerts, when non-nil (and Monitor is set), runs the SLO burn-rate
@@ -186,7 +185,7 @@ type Config struct {
 	// sampled at fixed sim-time ticks and multi-window rules raise
 	// page/ticket alerts into Report.Alerts, the registry, and the trace's
 	// router track. Tick instants are pre-scheduled simulation events, so
-	// alerts are deterministic and identical serial vs parallel.
+	// alerts are deterministic.
 	Alerts *monitor.SLOConfig
 	// MetricsWriter, with MetricsInterval > 0 and Monitor set, appends one
 	// OpenMetrics exposition block of the registry every interval of sim
@@ -195,11 +194,6 @@ type Config struct {
 	// a final snapshot after Run returns. Write errors surface from Run.
 	MetricsWriter   io.Writer
 	MetricsInterval sim.Duration
-	// Parallel gives every node its own event queue and runs the nodes on
-	// separate goroutines between router interaction points (conservative
-	// lookahead; see Run). Reports and traces are byte-identical to the
-	// serial path, which stays the default and the correctness oracle.
-	Parallel bool
 	// HostPolicy selects each node's pinned host-memory tier policy (see
 	// serving.Config.HostPolicy). Default pinned; model-zoo clusters use a
 	// cache policy (lru or cost).
@@ -284,9 +278,6 @@ func (m *modelState) accrue(now sim.Time) {
 type node struct {
 	id  int
 	srv *serving.Server
-	// sim drives this node's events: the cluster's shared simulator in
-	// serial mode, a private one in parallel mode.
-	sim *sim.Simulator
 }
 
 // down reports whether the node has no serving capacity at all.
@@ -390,13 +381,6 @@ func New(cfg Config) (*Cluster, error) {
 	c.rec.NamePID(trace.ServerPID, "cluster router") // no-op when tracing is off
 	for i := 0; i < cfg.Nodes; i++ {
 		topo := cfg.NewTopology()
-		nodeSim := c.sim
-		if cfg.Parallel {
-			// Each node owns a private event queue; the router's simulator
-			// then carries only external events (arrivals, autoscaler ticks)
-			// and Run synchronizes the two at those points.
-			nodeSim = sim.New()
-		}
 		var sched *faults.Schedule
 		if i == 0 {
 			sched = cfg.Faults // faults strike node 0; the router works around it
@@ -405,7 +389,7 @@ func New(cfg Config) (*Cluster, error) {
 			Topo:               topo,
 			Cost:               cfg.Cost,
 			Policy:             cfg.Policy,
-			Sim:                nodeSim,
+			Sim:                c.sim,
 			SLO:                cfg.SLO,
 			WindowWidth:        cfg.WindowWidth,
 			Batch:              cfg.Batch,
@@ -425,7 +409,7 @@ func New(cfg Config) (*Cluster, error) {
 		if err != nil {
 			return nil, fmt.Errorf("cluster: node %d: %w", i, err)
 		}
-		c.nodes = append(c.nodes, &node{id: i, srv: srv, sim: nodeSim})
+		c.nodes = append(c.nodes, &node{id: i, srv: srv})
 		c.routedC[i] = c.mon.Counter("deepplan_routed",
 			"Requests the router dispatched, by destination node.", "node", strconv.Itoa(i))
 	}
@@ -904,16 +888,10 @@ func (c *Cluster) prewarmNode(m *modelState, replica int) *node {
 // returns the cluster report. Requests must be sorted by arrival time
 // (workload generators produce sorted sequences).
 //
-// With Config.Parallel set, Run drives the nodes concurrently under
-// conservative lookahead: every external event (arrival or autoscaler tick)
-// is a cluster-wide synchronization point, because the router samples all
-// nodes' load there and may submit work to any of them. Between two such
-// points the nodes share nothing, so each node's private simulator advances
-// on its own goroutine up to the next external timestamp, the router fires
-// the external events with every node parked at that instant, and the cycle
-// repeats; after the last external event the nodes drain to quiescence
-// concurrently. See DESIGN.md for why this is byte-identical to the serial
-// schedule.
+// The router and every node share one simulator clock. Arrivals,
+// autoscaler ticks and monitoring ticks are scheduled up front, so among
+// events at the same instant they fire before any node event scheduled
+// during the run.
 func (c *Cluster) Run(requests []Request) (*Report, error) {
 	for _, r := range requests {
 		if _, ok := c.models[r.Model]; !ok {
@@ -938,20 +916,14 @@ func (c *Cluster) Run(requests []Request) (*Report, error) {
 			c.sim.At(t, c.scaleTick)
 		}
 	}
-	// Monitoring ticks are ordinary router events scheduled up front, so
-	// they land at identical instants in serial and parallel runs — that is
-	// what makes alerts and interval exports deterministic. In parallel
-	// mode each tick is a synchronization barrier like any other router
-	// event: every node is parked at the tick's timestamp, so reading the
-	// per-node registry views is race-free.
+	// Monitoring ticks are ordinary router events scheduled up front, which
+	// makes alerts and interval exports deterministic.
 	//
-	// Each tick fires one nanosecond after its nominal instant. Fault
-	// schedules are pre-scheduled on the node simulators at construction,
-	// before Run pre-schedules these ticks: under the shared serial clock a
-	// fault event at time t therefore fires before a tick at t, but the
-	// parallel barrier only advances nodes to events strictly before the
-	// tick's timestamp. Nudging the tick past t gives both modes the same
-	// boundary — every node event through t is visible, none after.
+	// Each tick fires one nanosecond after its nominal instant, so a tick at
+	// t observes every node event at t. Fault events scheduled at
+	// construction would fire before a tick at t anyway, but node events
+	// scheduled at t during the run carry later sequence numbers than the
+	// pre-scheduled tick and would otherwise be missed.
 	const tickSkew = sim.Duration(1)
 	if c.mon != nil && c.cfg.Alerts != nil && horizon > 0 {
 		acfg := *c.cfg.Alerts
@@ -970,11 +942,7 @@ func (c *Cluster) Run(requests []Request) (*Report, error) {
 			c.sim.At(t.Add(tickSkew), c.exportTick)
 		}
 	}
-	if c.cfg.Parallel {
-		c.runParallel()
-	} else {
-		c.sim.Run()
-	}
+	c.sim.Run()
 	c.rec.MergeViews() // fold per-node trace buffers into one deterministic timeline
 	if firstErr != nil {
 		return nil, firstErr
@@ -993,18 +961,6 @@ func (c *Cluster) exportTick() {
 	if err := c.mon.WriteOpenMetrics(c.cfg.MetricsWriter); err != nil {
 		c.exportErr = fmt.Errorf("cluster: metrics export at %v: %w", c.sim.Now(), err)
 	}
-}
-
-// now returns the cluster-wide virtual time: the router clock in serial
-// mode, the furthest node clock once the parallel drain has finished.
-func (c *Cluster) now() sim.Time {
-	t := c.sim.Now()
-	for _, n := range c.nodes {
-		if nt := n.sim.Now(); nt > t {
-			t = nt
-		}
-	}
-	return t
 }
 
 // CheckInvariants validates every node's internal consistency (test use).
@@ -1110,12 +1066,11 @@ func (c *Cluster) report(requests int) (*Report, error) {
 		Policy:   c.cfg.Policy,
 		Requests: requests,
 	}
-	end := c.now()
+	end := c.sim.Now()
 	var all, cold, warm, ttft metrics.Digest
 	var decodeSeqSum int
 	var perNode [][]metrics.TelemetryStat
 	for _, n := range c.nodes {
-		n.srv.FinalizeMonitor(end) // cluster-wide horizon, identical serial vs parallel
 		rep, err := n.srv.Finish()
 		if err != nil {
 			return nil, fmt.Errorf("cluster: node %d: %w", n.id, err)

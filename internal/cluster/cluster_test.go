@@ -83,6 +83,25 @@ func TestDeployValidation(t *testing.T) {
 	}
 }
 
+// A run rejected for an unknown model schedules nothing, so the same
+// cluster still serves a valid request sequence afterwards.
+func TestClusterUsableAfterUnknownModelRun(t *testing.T) {
+	c, err := New(Config{Nodes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _ := dnn.ByName("bert-base")
+	if err := c.Deploy(m, 4); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Run([]Request{{Model: "nope"}}); err == nil {
+		t.Fatal("want unknown-model error")
+	}
+	if _, err := c.Run(toCluster("BERT-Base", workload.Poisson(3, 50, 50, 4))); err != nil {
+		t.Fatalf("cluster unusable after rejected run: %v", err)
+	}
+}
+
 func TestClusterRunCompletes(t *testing.T) {
 	c := newBERTCluster(t, Config{Nodes: 2, Telemetry: true}, 0)
 	reqs := toCluster("BERT-Base", workload.Poisson(7, 100, 800, c.models["BERT-Base"].active))
@@ -492,16 +511,15 @@ func TestPredictivePrewarmsBeforeBursts(t *testing.T) {
 	}
 }
 
-// TestPredictiveParallelMatchesSerial pins the byte-identity guarantee for
-// the new controller: the exact run that prewarms and sleeps (see above)
-// must produce an identical report and Chrome trace under -parallel-sim.
-func TestPredictiveParallelMatchesSerial(t *testing.T) {
-	run := func(parallel bool) (*Report, []byte) {
+// TestPredictiveRerunIdentical pins determinism for the predictive
+// controller: two runs of the exact configuration that prewarms and sleeps
+// (see above) produce an identical report and Chrome trace.
+func TestPredictiveRerunIdentical(t *testing.T) {
+	run := func() (*Report, []byte) {
 		rec := trace.New()
 		c, err := New(Config{
 			Nodes:       2,
 			WindowWidth: 10 * sim.Second,
-			Parallel:    parallel,
 			Trace:       rec,
 			Telemetry:   true,
 			Autoscale: AutoscaleConfig{
@@ -531,16 +549,16 @@ func TestPredictiveParallelMatchesSerial(t *testing.T) {
 		}
 		return rep, buf.Bytes()
 	}
-	wantRep, wantTrace := run(false)
-	gotRep, gotTrace := run(true)
+	wantRep, wantTrace := run()
+	gotRep, gotTrace := run()
 	if wantRep.Prewarms == 0 {
 		t.Fatal("test premise broken: no prewarms to compare")
 	}
 	if !reflect.DeepEqual(wantRep, gotRep) {
-		t.Fatalf("predictive parallel report diverged:\nserial:   %+v\nparallel: %+v", wantRep, gotRep)
+		t.Fatalf("predictive rerun report diverged:\nfirst: %+v\nrerun: %+v", wantRep, gotRep)
 	}
 	if !bytes.Equal(wantTrace, gotTrace) {
-		t.Fatalf("predictive parallel trace diverged (%d vs %d bytes)", len(wantTrace), len(gotTrace))
+		t.Fatalf("predictive rerun trace diverged (%d vs %d bytes)", len(wantTrace), len(gotTrace))
 	}
 }
 

@@ -51,10 +51,10 @@ func llmRunOnce(t *testing.T, cfg Config, replicas, requests int, rate float64) 
 	return rep, buf.Bytes()
 }
 
-// The repo invariant extended to the decode path: parallel per-node event
-// queues must reproduce the serial run byte for byte under continuous
-// batching, static batching, disaggregation, and faults mid-decode.
-func TestParallelMatchesSerialLLM(t *testing.T) {
+// Determinism on the decode path: reruns of continuous batching, static
+// batching, disaggregation, and faults mid-decode reproduce the report and
+// the Chrome trace byte for byte.
+func TestLLMClusterRerunIdentical(t *testing.T) {
 	faultSched, err := faults.Parse("gpu=1@30ms+150ms")
 	if err != nil {
 		t.Fatal(err)
@@ -74,47 +74,18 @@ func TestParallelMatchesSerialLLM(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			serialCfg, parallelCfg := tc.cfg, tc.cfg
-			parallelCfg.Parallel = true
-			wantRep, wantTrace := llmRunOnce(t, serialCfg, 12, 300, 150)
-			gotRep, gotTrace := llmRunOnce(t, parallelCfg, 12, 300, 150)
+			wantRep, wantTrace := llmRunOnce(t, tc.cfg, 12, 300, 150)
+			gotRep, gotTrace := llmRunOnce(t, tc.cfg, 12, 300, 150)
 			if wantRep.TokensGenerated <= wantRep.Requests {
 				t.Fatalf("decode path barely exercised: %d tokens over %d requests",
 					wantRep.TokensGenerated, wantRep.Requests)
 			}
 			if !reflect.DeepEqual(wantRep, gotRep) {
-				t.Fatalf("parallel LLM report diverged from serial:\nserial:   %+v\nparallel: %+v", wantRep, gotRep)
+				t.Fatalf("LLM rerun report diverged:\nfirst: %+v\nrerun: %+v", wantRep, gotRep)
 			}
 			if !bytes.Equal(wantTrace, gotTrace) {
-				t.Fatalf("parallel LLM trace diverged (%d vs %d bytes)", len(wantTrace), len(gotTrace))
+				t.Fatalf("LLM rerun trace diverged (%d vs %d bytes)", len(wantTrace), len(gotTrace))
 			}
 		})
-	}
-}
-
-// Sixteen nodes decoding concurrently: repeated parallel runs and the
-// serial oracle all agree byte for byte.
-func TestParallelSixteenNodeLLM(t *testing.T) {
-	if testing.Short() {
-		t.Skip("16-node LLM stress run in -short mode")
-	}
-	cfg := Config{Nodes: 16, Route: RouteLeastOutstanding, Parallel: true,
-		LLM: serving.LLMConfig{Enabled: true, TokenBudget: 8}}
-	wantRep, wantTrace := llmRunOnce(t, cfg, 12, 400, 200)
-	rep, tr := llmRunOnce(t, cfg, 12, 400, 200)
-	if !reflect.DeepEqual(wantRep, rep) {
-		t.Fatalf("parallel rerun diverged:\nfirst: %+v\nrerun: %+v", wantRep, rep)
-	}
-	if !bytes.Equal(wantTrace, tr) {
-		t.Fatal("parallel rerun trace diverged")
-	}
-	serial := cfg
-	serial.Parallel = false
-	rep, tr = llmRunOnce(t, serial, 12, 400, 200)
-	if !reflect.DeepEqual(wantRep, rep) {
-		t.Fatalf("16-node serial oracle diverged:\nserial:   %+v\nparallel: %+v", rep, wantRep)
-	}
-	if !bytes.Equal(wantTrace, tr) {
-		t.Fatal("16-node serial oracle trace diverged")
 	}
 }

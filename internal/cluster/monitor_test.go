@@ -35,8 +35,8 @@ func runMonitored(t *testing.T, cfg Config, replicas, requests int, rate float64
 	return rep, exports.Bytes(), final.Bytes()
 }
 
-// runPlain is runOnce without the trace recorder: build, deploy, warm up,
-// replay, check invariants, return the report.
+// runPlain builds a cluster from cfg, deploys BERT-Base, warms up, replays
+// a Poisson workload, checks invariants, and returns the report.
 func runPlain(t *testing.T, cfg Config, replicas, requests int, rate float64) *Report {
 	t.Helper()
 	c, err := New(cfg)
@@ -99,40 +99,29 @@ func TestMonitoringIsObservationFree(t *testing.T) {
 	}
 }
 
-// TestMetricsExportSerialParallelIdentical is the exporter's determinism
-// contract: the interval exposition stream and the final exposition are
-// byte-identical between the serial shared-clock driver and the per-node
-// parallel driver, and across reruns of the same mode — under a fault
-// schedule, which exercises the tick-skew ordering between pre-scheduled
-// fault events and monitor barriers.
-func TestMetricsExportSerialParallelIdentical(t *testing.T) {
+// TestMetricsExportRerunIdentical is the exporter's determinism contract:
+// the interval exposition stream, the final exposition, and the report are
+// byte-identical across reruns under a fault schedule, which exercises the
+// tick-skew ordering between fault events and monitor ticks.
+func TestMetricsExportRerunIdentical(t *testing.T) {
 	sched, err := faults.Parse(monitorFaultSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := Config{Nodes: 4, Faults: sched}
-	serialCfg, parallelCfg := base, base
-	parallelCfg.Parallel = true
+	cfg := Config{Nodes: 4, Faults: sched}
+	wantRep, wantStream, wantFinal := runMonitored(t, cfg, 24, 400, 120)
+	gotRep, gotStream, gotFinal := runMonitored(t, cfg, 24, 400, 120)
 
-	serialRep, serialStream, serialFinal := runMonitored(t, serialCfg, 24, 400, 120)
-	rerunRep, rerunStream, rerunFinal := runMonitored(t, serialCfg, 24, 400, 120)
-	parRep, parStream, parFinal := runMonitored(t, parallelCfg, 24, 400, 120)
-
-	if len(serialStream) == 0 || len(serialFinal) == 0 {
+	if len(wantStream) == 0 || len(wantFinal) == 0 {
 		t.Fatal("no exposition bytes produced")
 	}
-	if !bytes.Equal(serialStream, rerunStream) || !bytes.Equal(serialFinal, rerunFinal) {
-		t.Fatal("serial rerun exported different bytes")
+	if !bytes.Equal(wantStream, gotStream) {
+		t.Fatalf("rerun interval exposition diverged (%d vs %d bytes)", len(wantStream), len(gotStream))
 	}
-	if !bytes.Equal(serialStream, parStream) {
-		t.Fatalf("parallel interval exposition diverged from serial (%d vs %d bytes)",
-			len(serialStream), len(parStream))
+	if !bytes.Equal(wantFinal, gotFinal) {
+		t.Fatalf("rerun final exposition diverged (%d vs %d bytes)", len(wantFinal), len(gotFinal))
 	}
-	if !bytes.Equal(serialFinal, parFinal) {
-		t.Fatalf("parallel final exposition diverged from serial (%d vs %d bytes)",
-			len(serialFinal), len(parFinal))
-	}
-	if !reflect.DeepEqual(serialRep, rerunRep) || !reflect.DeepEqual(serialRep, parRep) {
-		t.Fatal("monitored reports diverged across modes")
+	if !reflect.DeepEqual(wantRep, gotRep) {
+		t.Fatal("monitored reports diverged across reruns")
 	}
 }

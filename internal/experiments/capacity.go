@@ -23,7 +23,6 @@ func FigCapacity(w io.Writer, opts Options) error {
 		MinRate:  10,
 		MaxRate:  640,
 		Step:     20,
-		Parallel: opts.ParallelSim,
 	}
 	targetRPS := 100
 	if opts.Quick {

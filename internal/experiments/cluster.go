@@ -68,7 +68,6 @@ func FigCluster(w io.Writer, opts Options) error {
 			Route:     route,
 			SLO:       100 * sim.Millisecond,
 			Autoscale: as,
-			Parallel:  opts.ParallelSim,
 		})
 		if err != nil {
 			return nil, err

@@ -2,8 +2,11 @@ package experiments
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -43,7 +46,14 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
-// Smoke-run every experiment in quick mode and sanity-check the output.
+var update = flag.Bool("update", false, "rewrite testdata/golden from the current quick-mode outputs")
+
+// Smoke-run every experiment in quick mode, sanity-check the output, and
+// compare it byte for byte with testdata/golden/<id>.txt. The golden files
+// are the registry-wide behaviour oracle: a change that moves any simulated
+// number shows up here. Regenerate them with
+// `go test ./internal/experiments -run TestAllExperimentsProduceOutput -update`
+// and review the diff.
 func TestAllExperimentsProduceOutput(t *testing.T) {
 	for _, e := range All() {
 		e := e
@@ -58,6 +68,23 @@ func TestAllExperimentsProduceOutput(t *testing.T) {
 			}
 			if strings.Contains(out, "NaN") || strings.Contains(out, "Inf") {
 				t.Fatalf("%s output contains NaN/Inf:\n%s", e.ID, out)
+			}
+			golden := filepath.Join("testdata", "golden", e.ID+".txt")
+			if *update {
+				if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("%v (run with -update to create it)", err)
+			}
+			if !bytes.Equal(buf.Bytes(), want) {
+				t.Fatalf("%s output differs from %s\n--- want ---\n%s\n--- got ---\n%s", e.ID, golden, want, out)
 			}
 		})
 	}

@@ -2,6 +2,10 @@ package experiments
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"reflect"
+	"sync"
 	"testing"
 
 	"deepplan/internal/cluster"
@@ -16,11 +20,11 @@ func TestFigForecastPredictiveWinsColdTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reactive, err := runForecastPolicy(p, cluster.AutoscaleReactive, reqs, false)
+	reactive, err := runForecastPolicy(p, cluster.AutoscaleReactive, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	predictive, err := runForecastPolicy(p, cluster.AutoscalePredictive, reqs, false)
+	predictive, err := runForecastPolicy(p, cluster.AutoscalePredictive, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,22 +45,59 @@ func TestFigForecastPredictiveWinsColdTail(t *testing.T) {
 	}
 }
 
-// TestFigForecastByteIdenticalParallelSim: the experiment's stdout must
-// not depend on the simulator execution mode.
+// TestFigForecastByteIdenticalParallelSim: fig-forecast replays one shared
+// request slice under every policy, and runs the policies side by side when
+// Options.Workers allows. Concurrent replays must leave the shared slice
+// untouched and reproduce the serial reports exactly, and the experiment's
+// stdout on a worker pool must match its golden file byte for byte.
 func TestFigForecastByteIdenticalParallelSim(t *testing.T) {
-	var serial, parallel bytes.Buffer
-	if err := FigForecast(&serial, Options{Quick: true}); err != nil {
+	p := defaultForecastParams(true)
+	reqs, err := p.workload()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := FigForecast(&parallel, Options{Quick: true, ParallelSim: true}); err != nil {
+	pristine := append([]cluster.Request(nil), reqs...)
+	policies := []cluster.AutoscalePolicy{cluster.AutoscaleReactive, cluster.AutoscalePredictive}
+	serial := make([]*cluster.Report, len(policies))
+	for i, pol := range policies {
+		if serial[i], err = runForecastPolicy(p, pol, reqs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	side := make([]*cluster.Report, len(policies))
+	errs := make([]error, len(policies))
+	var wg sync.WaitGroup
+	for i, pol := range policies {
+		wg.Add(1)
+		go func(i int, pol cluster.AutoscalePolicy) {
+			defer wg.Done()
+			side[i], errs[i] = runForecastPolicy(p, pol, reqs)
+		}(i, pol)
+	}
+	wg.Wait()
+	for i, pol := range policies {
+		if errs[i] != nil {
+			t.Fatalf("%s side by side: %v", pol, errs[i])
+		}
+		if !reflect.DeepEqual(serial[i], side[i]) {
+			t.Fatalf("%s report differs when replayed side by side:\nserial %+v\nside   %+v", pol, *serial[i], *side[i])
+		}
+	}
+	if !reflect.DeepEqual(reqs, pristine) {
+		t.Fatal("replaying the policies mutated the shared request slice")
+	}
+
+	var out bytes.Buffer
+	if err := FigForecast(&out, Options{Quick: true, Workers: len(policies)}); err != nil {
 		t.Fatal(err)
 	}
-	if serial.Len() == 0 {
-		t.Fatal("empty experiment output")
+	want, err := os.ReadFile(filepath.Join("testdata", "golden", "fig-forecast.txt"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(serial.Bytes(), parallel.Bytes()) {
-		t.Fatalf("fig-forecast output differs between serial and -parallel-sim:\n--- serial ---\n%s\n--- parallel ---\n%s",
-			serial.String(), parallel.String())
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Fatalf("fig-forecast output on a worker pool differs from the golden file:\n--- want ---\n%s\n--- got ---\n%s",
+			want, out.String())
 	}
 }
 

@@ -80,7 +80,6 @@ func FigLLM(w io.Writer, opts Options) error {
 				TokenBudget:   budget,
 				PrefillDecode: opts.PrefillDecode,
 			},
-			Parallel: opts.ParallelSim,
 		})
 		if err != nil {
 			return err

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync"
 	"testing"
 
 	"deepplan/internal/experiments/runner"
@@ -32,27 +33,40 @@ func TestParallelOutputMatchesSerial(t *testing.T) {
 	}
 }
 
-// The parallel cluster driver must be invisible in every experiment's
-// output: the full registry, run with per-node event queues on goroutines
-// (ParallelSim), must be byte-identical to the serial shared-clock run.
-// Only fig-cluster and fig-capacity simulate clusters today, but sweeping
-// the whole registry keeps the invariant pinned as more experiments move
-// to the cluster layer. Run under -race this doubles as the data-race
-// check on the conservative-lookahead synchronization.
+// Simulator instances share no mutable state: the same experiment run as
+// two whole simulations side by side on separate goroutines — the way
+// `-exp all -parallel` and capacity sweeps use the cores — must reproduce
+// the serial run byte for byte. TestParallelOutputMatchesSerial covers the
+// sweep-point pool inside one run; this covers concurrent runs of the same
+// experiment, which would expose a package-level cache or counter shared
+// between instances. Run under -race it is also the data-race check.
 func TestParallelSimOutputMatchesSerial(t *testing.T) {
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			var serial, parallel bytes.Buffer
+			var serial bytes.Buffer
 			if err := e.Run(&serial, Options{Quick: true}); err != nil {
 				t.Fatalf("serial: %v", err)
 			}
-			if err := e.Run(&parallel, Options{Quick: true, ParallelSim: true, Workers: 2}); err != nil {
-				t.Fatalf("parallel-sim: %v", err)
+			var side [2]bytes.Buffer
+			var errs [2]error
+			var wg sync.WaitGroup
+			for i := range side {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					errs[i] = e.Run(&side[i], Options{Quick: true})
+				}(i)
 			}
-			if !bytes.Equal(serial.Bytes(), parallel.Bytes()) {
-				t.Fatalf("parallel-sim output differs from serial\n--- serial ---\n%s\n--- parallel-sim ---\n%s",
-					serial.String(), parallel.String())
+			wg.Wait()
+			for i := range side {
+				if errs[i] != nil {
+					t.Fatalf("side-by-side run %d: %v", i, errs[i])
+				}
+				if !bytes.Equal(serial.Bytes(), side[i].Bytes()) {
+					t.Fatalf("side-by-side run %d differs from serial\n--- serial ---\n%s\n--- side-by-side ---\n%s",
+						i, serial.String(), side[i].String())
+				}
 			}
 		})
 	}

@@ -33,6 +33,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -129,7 +130,9 @@ func (e Event) clause() string {
 	}
 }
 
-// validate checks field ranges that do not need a topology.
+// validate checks field ranges that do not need a topology. The range
+// checks are written so that NaN fails them: every comparison with NaN is
+// false.
 func (e Event) validate() error {
 	if e.At < 0 {
 		return fmt.Errorf("faults: %s event at negative time %v", e.Kind, e.At)
@@ -146,21 +149,21 @@ func (e Event) validate() error {
 		if e.Link == "" {
 			return fmt.Errorf("faults: link event without a link name")
 		}
-		if e.Fraction <= 0 || e.Fraction >= 1 {
+		if !(e.Fraction > 0 && e.Fraction < 1) {
 			return fmt.Errorf("faults: link fraction %g outside (0, 1)", e.Fraction)
 		}
 		if e.For == 0 {
 			return fmt.Errorf("faults: link event needs a +duration window")
 		}
 	case Straggler:
-		if e.Factor <= 1 {
-			return fmt.Errorf("faults: straggler factor %g must exceed 1", e.Factor)
+		if !(e.Factor > 1) || math.IsInf(e.Factor, 1) {
+			return fmt.Errorf("faults: straggler factor %g must be finite and exceed 1", e.Factor)
 		}
 		if e.For == 0 {
 			return fmt.Errorf("faults: straggler event needs a +duration window")
 		}
 	case MemPressure:
-		if e.Fraction <= 0 || e.Fraction >= 1 {
+		if !(e.Fraction > 0 && e.Fraction < 1) {
 			return fmt.Errorf("faults: mem fraction %g outside (0, 1)", e.Fraction)
 		}
 		if e.For == 0 {

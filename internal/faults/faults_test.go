@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -57,6 +58,60 @@ func TestParseRejectsMalformedSpecs(t *testing.T) {
 			t.Errorf("Parse(%q) accepted", spec)
 		}
 	}
+}
+
+var nonFiniteSpecs = []string{
+	"link=gpu0-lane*NaN@1s+3s",
+	"mem=NaN@1s+3s",
+	"straggler=copy/NaN@0s+3s",
+	"straggler=copy/+Inf@0s+3s",
+}
+
+// Non-finite fractions and factors must be rejected. NaN compares false
+// with everything, so a range check written as "x <= lo || x >= hi" lets it
+// through.
+func TestParseRejectsNonFiniteValues(t *testing.T) {
+	for _, spec := range nonFiniteSpecs {
+		if _, err := Parse(spec); err == nil {
+			t.Errorf("Parse(%q) accepted", spec)
+		}
+	}
+}
+
+// FuzzParse checks two properties over arbitrary specs: Parse never
+// panics, and every accepted schedule survives a String/Parse round trip
+// unchanged. Run it with `go test ./internal/faults -fuzz FuzzParse`.
+func FuzzParse(f *testing.F) {
+	for _, spec := range []string{
+		"gpu=1@2s+5s; link=gpu0-lane*0.3@1s+10s; straggler=copy/4@0s+20s; mem=0.5@5s+5s; rand=7/3@60s",
+		"gpu=1@2s+3s; link=gpu0-lane*0.4@1s+6s; straggler=copy/3@6s+3s",
+		"gpu=1@1s+1500ms; link=gpu0-lane*0.4@500ms+2s; straggler=copy/3@2s+1s",
+		"gpu=1@2s+5s; link=gpu0-lane*0.3@1s+10s; rand=7/3@60s",
+		"gpu=1@30ms+150ms",
+		"gpu=0@1s",
+		"straggler=*/2@0s+1s",
+		"straggler=4@0s+1s",
+		"link=lane*1.5@1s+1s",
+		"rand=7/0@60s",
+	} {
+		f.Add(spec)
+	}
+	for _, spec := range nonFiniteSpecs {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		s, err := Parse(spec)
+		if err != nil {
+			return
+		}
+		again, err := Parse(s.String())
+		if err != nil {
+			t.Fatalf("Parse(%q) accepted, but its rendering %q fails: %v", spec, s.String(), err)
+		}
+		if !reflect.DeepEqual(s, again) {
+			t.Fatalf("round trip of %q changed the schedule:\n%+v\n%+v", spec, s, again)
+		}
+	})
 }
 
 func TestScheduleStringRoundTrips(t *testing.T) {

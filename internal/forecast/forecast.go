@@ -76,8 +76,7 @@ type Prediction struct {
 }
 
 // Forecaster is a deterministic per-model arrival forecaster. Not safe
-// for concurrent use; in the cluster it lives on the router goroutine,
-// which under the parallel driver only runs at conservative barriers.
+// for concurrent use; in the cluster the router owns it.
 type Forecaster struct {
 	cfg    Config
 	counts []uint32

@@ -161,8 +161,7 @@ type sample struct {
 // SLOMonitor samples the registry at fixed sim-time ticks and evaluates
 // multi-window burn-rate rules over the deltas. It runs on the cluster
 // router's clock: ticks are pre-scheduled simulation events, so alert
-// instants are deterministic and identical between the serial and parallel
-// cluster simulators (ticks are barrier points in the latter).
+// instants are deterministic.
 type SLOMonitor struct {
 	cfg     SLOConfig
 	reg     *Registry

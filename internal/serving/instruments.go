@@ -5,7 +5,6 @@ import (
 
 	"deepplan/internal/faults"
 	"deepplan/internal/monitor"
-	"deepplan/internal/sim"
 )
 
 // instruments are the server's pre-resolved monitor handles. They are
@@ -42,8 +41,8 @@ type instruments struct {
 
 	faultEvents [faults.NumKinds]*monitor.Counter
 
-	// final guards the end-of-run gauge publication: the first caller
-	// (the cluster, with the cluster-wide horizon) wins.
+	// final makes the end-of-run gauge publication happen once, at the
+	// first report.
 	final bool
 }
 
@@ -130,19 +129,15 @@ func (ins *instruments) deployInstruments(policy Policy, model string) *depInstr
 	return d
 }
 
-// FinalizeMonitor publishes the end-of-run derived gauges (per-GPU busy
-// fraction) against an explicit horizon. The cluster calls it with the
-// cluster-wide quiesce time before Finish: under the parallel simulator a
-// node's private clock stops at that node's last event, so dividing by the
-// local clock would make the exported fractions depend on the execution
-// mode. Only the first call takes effect; the single-node path finalizes
-// from report with the server's own clock.
-func (srv *Server) FinalizeMonitor(end sim.Time) {
+// finalizeMonitor publishes the end-of-run derived gauges (per-GPU busy
+// fraction) over the horizon from 0 to now. Only the first call takes
+// effect.
+func (srv *Server) finalizeMonitor() {
 	if srv.ins == nil || srv.ins.final {
 		return
 	}
 	srv.ins.final = true
-	elapsed := end.Sub(0).Seconds()
+	elapsed := srv.sim.Now().Sub(0).Seconds()
 	for g := range srv.gpus {
 		frac := 0.0
 		if elapsed > 0 {

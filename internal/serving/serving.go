@@ -1770,6 +1770,6 @@ func (srv *Server) report(n int) *Report {
 	if srv.tel != nil {
 		r.Telemetry = srv.tel.Stats(srv.sim.Now())
 	}
-	srv.FinalizeMonitor(srv.sim.Now())
+	srv.finalizeMonitor()
 	return r
 }

@@ -80,11 +80,9 @@ type Event struct {
 // A Recorder may also be a node view (see Node): a lightweight handle that
 // remaps PIDs into a per-node range and buffers its node's events until
 // MergeViews folds every view into the root recorder's stream. Node views
-// let N independent serving nodes share one timeline — each node's GPUs,
-// fabric, and server become distinct Perfetto processes instead of
-// colliding on GPU ids — and, because each view appends only to its own
-// buffer, N nodes may record from N goroutines concurrently without locks
-// (the parallel cluster driver relies on this; see internal/cluster).
+// let N independent serving nodes share one timeline: each node's GPUs,
+// fabric, and server become distinct Perfetto processes (with node labels)
+// instead of colliding on GPU ids.
 type Recorder struct {
 	events  []Event
 	asyncID int64
@@ -208,10 +206,9 @@ func (r *Recorder) Events() []Event {
 // and empties the view buffers. The merge is deterministic: events are
 // ordered by timestamp, with the root's own events first among equals and
 // node views following in node order; events from the same source keep
-// their recording order. Running the same workload serially or with the
-// parallel cluster driver therefore yields a byte-identical stream — the
-// merge order depends only on what each node recorded, never on goroutine
-// interleaving. Safe to call repeatedly; a nil or view recorder is a no-op.
+// their recording order. This (timestamp, source) order is the exported
+// event order of a cluster trace. Safe to call repeatedly; a nil or view
+// recorder is a no-op.
 func (r *Recorder) MergeViews() {
 	if r == nil || r.root != nil || len(r.views) == 0 {
 		return

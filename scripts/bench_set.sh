@@ -15,9 +15,7 @@ bench_names=(
   BenchmarkPlanAlgorithm1
   BenchmarkFunctionalForwardPass
   BenchmarkClusterSixteenNodes
-  BenchmarkClusterSixteenNodesParallel
   BenchmarkClusterHundredNodes
-  BenchmarkClusterHundredNodesParallel
   BenchmarkZooPinnedCacheLookup
   BenchmarkForecastObserve
 )
