@@ -340,6 +340,42 @@ func BenchmarkClusterSixteenNodes(b *testing.B) { benchCluster(b, 16) }
 // largest configuration to expose super-linear router costs.
 func BenchmarkClusterHundredNodes(b *testing.B) { benchCluster(b, 100) }
 
+// BenchmarkWriteChrome measures trace export alone: a four-node GPT-2
+// cluster decoding with continuous batching and prefill/decode
+// disaggregation is recorded once, then each iteration writes its Chrome
+// JSON to io.Discard.
+func BenchmarkWriteChrome(b *testing.B) {
+	platform := deepplan.NewP38xlarge()
+	m, err := deepplan.LoadModel("gpt2")
+	if err != nil {
+		b.Fatal(err)
+	}
+	rec := deepplan.NewTraceRecorder()
+	c, err := platform.NewCluster(deepplan.ClusterOptions{
+		Nodes: 4, Trace: rec,
+		LLM: deepplan.LLMOptions{Enabled: true, PrefillDecode: true},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := c.Deploy(m, 16); err != nil {
+		b.Fatal(err)
+	}
+	c.Warmup()
+	reqs := deepplan.ClusterRequests(m.Name,
+		deepplan.AssignTokens(deepplan.PoissonWorkload(7, 100, 1000, 16), 7, 256, 32))
+	if _, err := c.Run(reqs); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := deepplan.WriteTrace(io.Discard, rec, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkHistogramRecord measures the monitoring hot path: one histogram
 // observation on a pre-resolved handle (bucket index via float-bit
 // arithmetic, no label formatting, no map lookups). Steady state must stay
@@ -365,11 +401,38 @@ func TestDisabledTracingAddsNoAllocations(t *testing.T) {
 		rec.Span(0, 0, "exec", "layer", 0, 10)
 		rec.Instant(0, 4, "serving", "evict", 5)
 		rec.Counter(0, "gpu mem (MiB)", 5, 128)
-		rec.AsyncBegin(0, "request", "bert", rec.NextID(), 0, nil)
+		rec.AsyncBegin(0, "request", "bert", rec.NextID(), 0)
 		rec.AsyncEnd(0, "request", "bert", 0, 10)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled recorder allocated %.1f per run; want 0", allocs)
+	}
+}
+
+// TestEnabledTracingAddsNoAllocations pins the cost of leaving tracing on:
+// on a recorder whose buffers have grown to the run's size, recording a
+// span, an instant and an async begin with up to six typed args, on the
+// root or through a cluster node view, allocates nothing per call (buffer
+// growth amortizes to zero).
+func TestEnabledTracingAddsNoAllocations(t *testing.T) {
+	rec := deepplan.NewTraceRecorder()
+	node := rec.Node(1, 4)
+	record := func() {
+		rec.SpanArgs(0, 0, "exec", "layer", 0, 10,
+			deepplan.TraceStr("method", "dha"), deepplan.TraceFloat("stall_us", 1.5), deepplan.TraceInt("partition", 1))
+		node.InstantArgs(-2, 4, "serving", "state bert", 5,
+			deepplan.TraceInt("instance", 3), deepplan.TraceStr("from", "cold"), deepplan.TraceStr("to", "warm"), deepplan.TraceStr("why", "load"))
+		rec.AsyncBegin(0, "request", "bert", rec.NextID(), 0,
+			deepplan.TraceStr("class", "warm"), deepplan.TraceInt("instance", 3), deepplan.TraceFloat("queue_us", 1),
+			deepplan.TraceFloat("load_us", 2), deepplan.TraceFloat("exec_us", 3), deepplan.TraceFloat("total_us", 6))
+		node.AsyncBegin(1, "request", "gpt2", node.NextID(), 0, deepplan.TraceBool("cold", true))
+		rec.AsyncEnd(0, "request", "bert", 0, 10)
+	}
+	for i := 0; i < 10000; i++ { // grow the buffers first
+		record()
+	}
+	if allocs := testing.AllocsPerRun(100, record); allocs != 0 {
+		t.Fatalf("enabled recorder allocated %.1f per run; want 0", allocs)
 	}
 }
 

@@ -90,7 +90,12 @@ type (
 	CostParams = costmodel.Params
 	// TraceRecorder collects timeline events (request lifecycle, per-layer
 	// streams, bandwidth and memory counters) against the virtual clock.
+	// Its SpanArgs, InstantArgs and AsyncBegin take typed TraceArg values.
 	TraceRecorder = trace.Recorder
+	// TraceArg is one typed argument of a trace event, passed to
+	// TraceRecorder.SpanArgs, InstantArgs and AsyncBegin. Build one with
+	// TraceInt, TraceFloat, TraceStr or TraceBool.
+	TraceArg = trace.Arg
 	// TelemetryStat is one window of the resource telemetry snapshot.
 	TelemetryStat = metrics.TelemetryStat
 	// FaultSchedule is a deterministic fault-injection schedule for
@@ -198,6 +203,19 @@ func ParseFaults(spec string) (*FaultSchedule, error) { return faults.Parse(spec
 // NewTraceRecorder returns an enabled trace recorder for ServerOptions.Trace.
 // A nil *TraceRecorder disables tracing at zero cost.
 func NewTraceRecorder() *TraceRecorder { return trace.New() }
+
+// TraceInt returns an integer trace-event argument.
+func TraceInt(key string, v int64) TraceArg { return trace.Int(key, v) }
+
+// TraceFloat returns a floating-point trace-event argument. NaN and ±Inf
+// make WriteTrace fail.
+func TraceFloat(key string, v float64) TraceArg { return trace.Float(key, v) }
+
+// TraceStr returns a string trace-event argument.
+func TraceStr(key, v string) TraceArg { return trace.Str(key, v) }
+
+// TraceBool returns a boolean trace-event argument.
+func TraceBool(key string, v bool) TraceArg { return trace.Bool(key, v) }
 
 // WriteTrace exports a recorder's events as Chrome trace-event JSON,
 // loadable in chrome://tracing and https://ui.perfetto.dev. meta, if

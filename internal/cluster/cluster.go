@@ -744,10 +744,12 @@ func (c *Cluster) scaleTick() {
 					kind = "scale-down "
 				}
 				c.rec.InstantArgs(trace.ServerPID, trace.TIDLifecycle, "cluster",
-					kind+m.name, c.sim.Now(), map[string]any{
-						"model": m.name, "active": m.active,
-						"queue_per_node": perNodeDepth, "cold_ratio": coldRatio,
-					})
+					kind+m.name, c.sim.Now(),
+					trace.Str("model", m.name),
+					trace.Int("active", m.active),
+					trace.Float("queue_per_node", perNodeDepth),
+					trace.Float("cold_ratio", coldRatio),
+				)
 			}
 		}
 		m.winArrivals = 0
@@ -779,10 +781,13 @@ func (c *Cluster) predictiveTick(perNodeDepth, coldRatio float64) {
 		m.rateG.Set(pred.Rate)
 		if c.rec != nil {
 			c.rec.InstantArgs(trace.ServerPID, trace.TIDLifecycle, "cluster",
-				"forecast "+m.name, now, map[string]any{
-					"model": m.name, "rate": pred.Rate, "peak": pred.Peak,
-					"period_s": pred.Period.Seconds(), "score": pred.Score,
-				})
+				"forecast "+m.name, now,
+				trace.Str("model", m.name),
+				trace.Float("rate", pred.Rate),
+				trace.Float("peak", pred.Peak),
+				trace.Float("period_s", pred.Period.Seconds()),
+				trace.Float("score", pred.Score),
+			)
 		}
 		// Replicas needed so the predicted peak keeps each at TargetUtil.
 		perReplica := as.TargetUtil / m.execEst.Seconds()
@@ -842,11 +847,13 @@ func (c *Cluster) predictiveTick(perNodeDepth, coldRatio float64) {
 					kind = "scale-down "
 				}
 				c.rec.InstantArgs(trace.ServerPID, trace.TIDLifecycle, "cluster",
-					kind+m.name, now, map[string]any{
-						"model": m.name, "active": m.active,
-						"queue_per_node": perNodeDepth, "cold_ratio": coldRatio,
-						"forecast_peak": pred.Peak,
-					})
+					kind+m.name, now,
+					trace.Str("model", m.name),
+					trace.Int("active", m.active),
+					trace.Float("queue_per_node", perNodeDepth),
+					trace.Float("cold_ratio", coldRatio),
+					trace.Float("forecast_peak", pred.Peak),
+				)
 			}
 		}
 		m.winArrivals = 0

@@ -578,6 +578,28 @@ func TestParseAutoscalePolicy(t *testing.T) {
 	}
 }
 
+// FuzzParseAutoscalePolicy checks that ParseAutoscalePolicy never panics,
+// accepts only the known policies, and that every accepted policy parses
+// back to itself from its spelling. Run it with
+// `go test ./internal/cluster -run '^$' -fuzz FuzzParseAutoscalePolicy`.
+func FuzzParseAutoscalePolicy(f *testing.F) {
+	for _, s := range []string{"", "reactive", "predictive", "Predictive", "oracle", " reactive", "\x00"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		p, err := ParseAutoscalePolicy(s)
+		if err != nil {
+			return
+		}
+		if p != AutoscaleReactive && p != AutoscalePredictive {
+			t.Fatalf("ParseAutoscalePolicy(%q) = %q, not a known policy", s, p)
+		}
+		if again, err := ParseAutoscalePolicy(string(p)); err != nil || again != p {
+			t.Fatalf("ParseAutoscalePolicy(%q) = %q, but its spelling parses to %q, %v", s, p, again, err)
+		}
+	})
+}
+
 // TestDeployZooRefusesAutoscale pins the refusal at the cluster API:
 // autoscaling consolidates replicas of one model by ordinal, which for a
 // zoo would conflate distinct tenants — the combination must fail loudly

@@ -970,8 +970,8 @@ func (e *Engine) finalize(r *Result) {
 // on the primary GPU's exec track, host→GPU copy spans on the load track of
 // the GPU that received each partition, and NVLink forwarding spans on the
 // secondary's migration track. It is called automatically for engines built
-// with Config.Trace; exporters for standalone Results (tracefmt) call it
-// directly. Safe on a nil recorder.
+// with Config.Trace; cmd/deepplan calls it directly to export a standalone
+// Result. Safe on a nil recorder.
 func (r *Result) EmitTrace(rec *trace.Recorder) {
 	if rec == nil {
 		return
@@ -980,11 +980,10 @@ func (r *Result) EmitTrace(rec *trace.Recorder) {
 		t := &r.Timings[i]
 		if t.ExecDone > t.ExecStart {
 			rec.SpanArgs(r.Primary, trace.TIDExec, "exec", r.LayerName(i), t.ExecStart, t.ExecDone,
-				map[string]any{
-					"method":    t.Method.String(),
-					"stall_us":  float64(t.Stall) / 1e3,
-					"partition": t.Partition,
-				})
+				trace.Str("method", t.Method.String()),
+				trace.Float("stall_us", float64(t.Stall)/1e3),
+				trace.Int("partition", t.Partition),
+			)
 		}
 		if t.LoadDone > t.LoadStart {
 			loadGPU := r.Primary

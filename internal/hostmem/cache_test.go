@@ -201,3 +201,27 @@ func TestVictimSelectionDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParsePolicy checks that ParsePolicy never panics, accepts only the
+// known policies, and that every accepted policy parses back to itself
+// from its spelling. Run it with
+// `go test ./internal/hostmem -run '^$' -fuzz FuzzParsePolicy`.
+func FuzzParsePolicy(f *testing.F) {
+	for _, s := range []string{"", "pinned", "lru", "cost", "LRU", " cost", "mru", "cost\x00"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		p, err := ParsePolicy(s)
+		if err != nil {
+			return
+		}
+		switch p {
+		case PolicyPinned, PolicyLRU, PolicyCostAware:
+		default:
+			t.Fatalf("ParsePolicy(%q) = %q, not a known policy", s, p)
+		}
+		if again, err := ParsePolicy(string(p)); err != nil || again != p {
+			t.Fatalf("ParsePolicy(%q) = %q, but its spelling parses to %q, %v", s, p, again, err)
+		}
+	})
+}

@@ -280,7 +280,7 @@ func (m *SLOMonitor) rule(now sim.Time, name string, i, sev int, severity string
 		m.fired[i][sev].Inc()
 		if m.rec != nil {
 			m.rec.InstantArgs(trace.ServerPID, trace.TIDLifecycle, "slo", severity+" "+name, now,
-				map[string]any{"burn": burn})
+				trace.Float("burn", burn))
 		}
 	case !firing && cur != nil:
 		cur.ResolvedAt = now

@@ -133,11 +133,11 @@ func (srv *Server) startFetch(inst *Instance, p pending, fresh bool) {
 	inst.fetching = true
 	if srv.rec != nil {
 		srv.rec.InstantArgs(trace.ServerPID, trace.TIDLifecycle, "serving",
-			"host-fetch "+dep.Model.Name, now, map[string]any{
-				"instance": inst.ID,
-				"bytes":    dep.Model.TotalParamBytes(),
-				"fetch_us": float64(dep.FetchEst) / 1e3,
-			})
+			"host-fetch "+dep.Model.Name, now,
+			trace.Int("instance", inst.ID),
+			trace.Int("bytes", dep.Model.TotalParamBytes()),
+			trace.Float("fetch_us", float64(dep.FetchEst)/1e3),
+		)
 	}
 	if srv.ins != nil {
 		srv.ins.hostFetches.Inc()

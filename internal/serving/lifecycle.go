@@ -37,9 +37,12 @@ func (srv *Server) setState(inst *Instance, to InstanceState, why string) {
 	inst.state = to
 	if srv.rec != nil && from != to {
 		srv.rec.InstantArgs(trace.ServerPID, trace.TIDLifecycle, "serving",
-			"state "+inst.dep.Model.Name, srv.sim.Now(), map[string]any{
-				"instance": inst.ID, "from": from.String(), "to": to.String(), "why": why,
-			})
+			"state "+inst.dep.Model.Name, srv.sim.Now(),
+			trace.Int("instance", inst.ID),
+			trace.Str("from", from.String()),
+			trace.Str("to", to.String()),
+			trace.Str("why", why),
+		)
 	}
 }
 
@@ -58,7 +61,7 @@ func (srv *Server) notePromotion(inst *Instance, prev InstanceState, gs *gpuStat
 		if srv.rec != nil {
 			srv.rec.InstantArgs(gs.id, trace.TIDLifecycle, "serving",
 				"wake "+inst.dep.Model.Name, srv.sim.Now(),
-				map[string]any{"instance": inst.ID})
+				trace.Int("instance", inst.ID))
 		}
 	case Swapped:
 		srv.swapIns++
@@ -68,7 +71,7 @@ func (srv *Server) notePromotion(inst *Instance, prev InstanceState, gs *gpuStat
 		if srv.rec != nil {
 			srv.rec.InstantArgs(gs.id, trace.TIDLifecycle, "serving",
 				"swap-in "+inst.dep.Model.Name, srv.sim.Now(),
-				map[string]any{"instance": inst.ID})
+				trace.Int("instance", inst.ID))
 		}
 	}
 }
@@ -82,7 +85,7 @@ func (srv *Server) noteHostEvictions(victims []hostmem.Evicted, forName string) 
 		if srv.rec != nil {
 			srv.rec.InstantArgs(trace.ServerPID, trace.TIDLifecycle, "serving",
 				"host-evict "+v.Name, now,
-				map[string]any{"bytes": v.Bytes, "for": forName})
+				trace.Int("bytes", v.Bytes), trace.Str("for", forName))
 		}
 		if srv.ins != nil {
 			srv.ins.hostEvictions.Inc()
@@ -92,7 +95,7 @@ func (srv *Server) noteHostEvictions(victims []hostmem.Evicted, forName string) 
 			if srv.rec != nil {
 				srv.rec.InstantArgs(trace.ServerPID, trace.TIDLifecycle, "serving",
 					"swap-out "+inst.dep.Model.Name, now,
-					map[string]any{"instance": inst.ID})
+					trace.Int("instance", inst.ID))
 			}
 			srv.setState(inst, Swapped, "host-evict")
 		}
@@ -152,7 +155,7 @@ func (srv *Server) SleepInstance(id int) bool {
 	if srv.rec != nil {
 		srv.rec.InstantArgs(gs.id, trace.TIDLifecycle, "serving",
 			"sleep "+inst.dep.Model.Name, srv.sim.Now(),
-			map[string]any{"instance": inst.ID})
+			trace.Int("instance", inst.ID))
 	}
 	srv.memCounter(gs)
 	if srv.ins != nil {
@@ -198,7 +201,7 @@ func (srv *Server) notePrewarm(inst *Instance) {
 	if srv.rec != nil {
 		srv.rec.InstantArgs(trace.ServerPID, trace.TIDLifecycle, "serving",
 			"prewarm "+inst.dep.Model.Name, srv.sim.Now(),
-			map[string]any{"instance": inst.ID, "state": inst.state.String()})
+			trace.Int("instance", inst.ID), trace.Str("state", inst.state.String()))
 	}
 }
 
@@ -275,11 +278,11 @@ func (srv *Server) prewarmFetch(inst *Instance) bool {
 	srv.notePrewarm(inst)
 	if srv.rec != nil {
 		srv.rec.InstantArgs(trace.ServerPID, trace.TIDLifecycle, "serving",
-			"host-fetch "+dep.Model.Name, now, map[string]any{
-				"instance": inst.ID,
-				"bytes":    dep.Model.TotalParamBytes(),
-				"fetch_us": float64(dep.FetchEst) / 1e3,
-			})
+			"host-fetch "+dep.Model.Name, now,
+			trace.Int("instance", inst.ID),
+			trace.Int("bytes", dep.Model.TotalParamBytes()),
+			trace.Float("fetch_us", float64(dep.FetchEst)/1e3),
+		)
 	}
 	if srv.ins != nil {
 		srv.ins.hostFetches.Inc()

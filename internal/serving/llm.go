@@ -35,6 +35,7 @@ import (
 	"deepplan/internal/gpumem"
 	"deepplan/internal/metrics"
 	"deepplan/internal/sim"
+	"deepplan/internal/trace"
 	"deepplan/internal/workload"
 )
 
@@ -223,12 +224,12 @@ func (srv *Server) llmRecordFirst(req workload.Request, res *engine.Result, cold
 			class = "cold"
 		}
 		queue := res.ExecBegin.Sub(req.At)
-		srv.rec.AsyncBegin(res.Primary, "request", res.Model, id, req.At, map[string]any{
-			"class":    class,
-			"instance": req.Instance,
-			"queue_us": float64(queue) / 1e3,
-			"ttft_us":  float64(ttft) / 1e3,
-		})
+		srv.rec.AsyncBegin(res.Primary, "request", res.Model, id, req.At,
+			trace.Str("class", class),
+			trace.Int("instance", req.Instance),
+			trace.Float("queue_us", float64(queue)/1e3),
+			trace.Float("ttft_us", float64(ttft)/1e3),
+		)
 		srv.rec.AsyncEnd(res.Primary, "request", res.Model, id, res.Finish)
 	}
 }

@@ -468,7 +468,7 @@ func (srv *Server) onFaultEvent(e faults.Event, active bool) {
 		name = "fault " + e.Kind.String()
 	}
 	srv.rec.InstantArgs(trace.ServerPID, trace.TIDLifecycle, "faults", name,
-		srv.sim.Now(), map[string]any{"event": e.Kind.String(), "active": active})
+		srv.sim.Now(), trace.Str("event", e.Kind.String()), trace.Bool("active", active))
 }
 
 // onGPUDown reacts to an injected GPU failure: the device's residents are
@@ -488,7 +488,7 @@ func (srv *Server) onGPUDown(id int) {
 	}
 	if srv.rec != nil {
 		srv.rec.InstantArgs(gs.id, trace.TIDLifecycle, "faults",
-			"gpu-fail", srv.sim.Now(), map[string]any{"gpu": id})
+			"gpu-fail", srv.sim.Now(), trace.Int("gpu", id))
 	}
 	victims := make([]*Instance, 0, len(gs.residents))
 	// deterministic: victims are collected and sorted by ID before use.
@@ -524,7 +524,7 @@ func (srv *Server) onGPUUp(id int) {
 	}
 	if srv.rec != nil {
 		srv.rec.InstantArgs(gs.id, trace.TIDLifecycle, "faults",
-			"gpu-recover", srv.sim.Now(), map[string]any{"gpu": id})
+			"gpu-recover", srv.sim.Now(), trace.Int("gpu", id))
 	}
 	srv.drainWaitlist()
 }
@@ -829,7 +829,7 @@ func (srv *Server) dispatch(p pending) {
 		if srv.rec != nil {
 			srv.rec.InstantArgs(inst.gpu, trace.TIDLifecycle, "serving",
 				"relocate "+inst.dep.Model.Name, srv.sim.Now(),
-				map[string]any{"instance": inst.ID})
+				trace.Int("instance", inst.ID))
 		}
 		srv.evict(inst)
 		srv.relocations++
@@ -881,7 +881,7 @@ func (srv *Server) park(inst *Instance, p pending, count bool) {
 		if srv.rec != nil {
 			srv.rec.InstantArgs(trace.ServerPID, trace.TIDLifecycle, "serving",
 				"defer "+inst.dep.Model.Name, srv.sim.Now(),
-				map[string]any{"instance": inst.ID, "waitlist": len(srv.waitlist) + 1})
+				trace.Int("instance", inst.ID), trace.Int("waitlist", len(srv.waitlist)+1))
 		}
 		if srv.tel != nil {
 			srv.tel.Deferred(srv.sim.Now())
@@ -948,7 +948,7 @@ func (srv *Server) shedRequest(inst *Instance, p pending, why string) {
 	if srv.rec != nil {
 		srv.rec.InstantArgs(trace.ServerPID, trace.TIDLifecycle, "serving",
 			"shed "+inst.dep.Model.Name, srv.sim.Now(),
-			map[string]any{"instance": inst.ID, "attempt": p.attempt, "why": why})
+			trace.Int("instance", inst.ID), trace.Int("attempt", p.attempt), trace.Str("why", why))
 	}
 }
 
@@ -970,7 +970,7 @@ func (srv *Server) retryOrShed(inst *Instance, p pending) {
 	if srv.rec != nil {
 		srv.rec.InstantArgs(trace.ServerPID, trace.TIDLifecycle, "serving",
 			"retry "+inst.dep.Model.Name, srv.sim.Now(),
-			map[string]any{"instance": inst.ID})
+			trace.Int("instance", inst.ID))
 	}
 	srv.dispatch(pending{req: p.req, attempt: p.attempt + 1})
 }
@@ -1193,7 +1193,7 @@ func (srv *Server) evict(inst *Instance) {
 	if srv.rec != nil {
 		srv.rec.InstantArgs(gs.id, trace.TIDLifecycle, "serving",
 			"evict "+inst.dep.Model.Name, srv.sim.Now(),
-			map[string]any{"instance": inst.ID})
+			trace.Int("instance", inst.ID))
 	}
 	srv.memCounter(gs)
 	if srv.tel != nil {
@@ -1236,7 +1236,7 @@ func (srv *Server) startCold(inst *Instance, p pending) {
 			if srv.rec != nil {
 				srv.rec.InstantArgs(inst.gpu, trace.TIDLifecycle, "serving",
 					"pt-fallback "+inst.dep.Model.Name, srv.sim.Now(),
-					map[string]any{"instance": inst.ID})
+					trace.Int("instance", inst.ID))
 			}
 		} else {
 			secondaries = []int{secondary.id}
@@ -1246,7 +1246,7 @@ func (srv *Server) startCold(inst *Instance, p pending) {
 	if srv.rec != nil {
 		srv.rec.InstantArgs(inst.gpu, trace.TIDLifecycle, "serving",
 			"cold start "+inst.dep.Model.Name, srv.sim.Now(),
-			map[string]any{"instance": inst.ID, "partitions": coldPlan.NumParts})
+			trace.Int("instance", inst.ID), trace.Int("partitions", coldPlan.NumParts))
 	}
 	spec := engine.Spec{
 		Model:        inst.dep.Model,
@@ -1342,7 +1342,7 @@ func (srv *Server) startWarmBatch(inst *Instance, reqs []pending) {
 		if srv.rec != nil {
 			srv.rec.InstantArgs(inst.gpu, trace.TIDLifecycle, "serving",
 				"batch "+inst.dep.Model.Name, srv.sim.Now(),
-				map[string]any{"requests": len(reqs)})
+				trace.Int("requests", len(reqs)))
 		}
 	}
 	spec := engine.Spec{
@@ -1458,16 +1458,16 @@ func (srv *Server) record(req workload.Request, res *engine.Result, cold bool) {
 		}
 		queue := res.ExecBegin.Sub(req.At)
 		exec := res.Finish.Sub(res.ExecBegin) - res.TotalStall
-		srv.rec.AsyncBegin(res.Primary, "request", res.Model, id, req.At, map[string]any{
-			"class":    class,
-			"instance": req.Instance,
-			"queue_us": float64(queue) / 1e3,
-			"load_us":  float64(res.TotalStall) / 1e3,
-			"exec_us":  float64(exec) / 1e3,
-			"total_us": float64(lat) / 1e3,
-		})
+		srv.rec.AsyncBegin(res.Primary, "request", res.Model, id, req.At,
+			trace.Str("class", class),
+			trace.Int("instance", req.Instance),
+			trace.Float("queue_us", float64(queue)/1e3),
+			trace.Float("load_us", float64(res.TotalStall)/1e3),
+			trace.Float("exec_us", float64(exec)/1e3),
+			trace.Float("total_us", float64(lat)/1e3),
+		)
 		if queue > 0 {
-			srv.rec.AsyncBegin(res.Primary, "request", "queue", id, req.At, nil)
+			srv.rec.AsyncBegin(res.Primary, "request", "queue", id, req.At)
 			srv.rec.AsyncEnd(res.Primary, "request", "queue", id, res.ExecBegin)
 		}
 		srv.rec.AsyncEnd(res.Primary, "request", res.Model, id, res.Finish)
@@ -1484,7 +1484,7 @@ func (srv *Server) drainWaitlist() {
 	if srv.rec != nil {
 		srv.rec.InstantArgs(trace.ServerPID, trace.TIDLifecycle, "serving",
 			"drain waitlist", srv.sim.Now(),
-			map[string]any{"pending": len(parked)})
+			trace.Int("pending", len(parked)))
 	}
 	for _, w := range parked {
 		if w.inst.state == Warm {

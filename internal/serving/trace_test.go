@@ -106,7 +106,7 @@ func TestTraceRecordsEvictions(t *testing.T) {
 		case trace.PhaseAsyncBegin:
 			begins++
 			for _, k := range []string{"class", "queue_us", "load_us", "exec_us", "total_us"} {
-				if _, ok := e.Args[k]; !ok {
+				if _, ok := e.Arg(k); !ok {
 					t.Fatalf("request begin missing %q arg: %v", k, e.Args)
 				}
 			}

@@ -130,3 +130,25 @@ func TestZooRunDeterministic(t *testing.T) {
 		t.Fatalf("zoo runs diverged:\n%+v\nvs\n%+v", a, b)
 	}
 }
+
+// FuzzParsePack checks that ParsePack never panics, accepts only the known
+// packing modes, and that every accepted mode parses back to itself from
+// its spelling. Run it with
+// `go test ./internal/serving -run '^$' -fuzz FuzzParsePack`.
+func FuzzParsePack(f *testing.F) {
+	for _, s := range []string{"", "spread", "dense", "Dense", "spread ", "packed", "\xff"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		p, err := ParsePack(s)
+		if err != nil {
+			return
+		}
+		if p != PackSpread && p != PackDense {
+			t.Fatalf("ParsePack(%q) = %q, not a known mode", s, p)
+		}
+		if again, err := ParsePack(string(p)); err != nil || again != p {
+			t.Fatalf("ParsePack(%q) = %q, but its spelling parses to %q, %v", s, p, again, err)
+		}
+	})
+}

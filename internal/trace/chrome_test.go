@@ -25,11 +25,11 @@ func decode(t *testing.T, buf *bytes.Buffer) (events []map[string]any, other map
 func TestWriteChromeShapes(t *testing.T) {
 	r := New()
 	r.Span(0, TIDExec, "exec", "layer0", 1000, 3000)
-	r.SpanArgs(1, TIDLoad, "load", "copy layer1", 2000, 5000, map[string]any{"partition": 1})
+	r.SpanArgs(1, TIDLoad, "load", "copy layer1", 2000, 5000, Int("partition", 1))
 	r.Instant(0, TIDLifecycle, "serving", "evict bert", 4000)
 	r.Counter(FabricPID, "lane (GB/s)", 1500, 6.4)
 	id := r.NextID()
-	r.AsyncBegin(1, "request", "bert", id, 500, map[string]any{"class": "cold"})
+	r.AsyncBegin(1, "request", "bert", id, 500, Str("class", "cold"))
 	r.AsyncEnd(1, "request", "bert", id, 9000)
 	r.Instant(ServerPID, TIDLifecycle, "serving", "drain waitlist", 6000)
 
@@ -101,8 +101,8 @@ func TestWriteChromeStableSameInstantOrder(t *testing.T) {
 	r := New()
 	// Same-timestamp events must keep recording order so nested async
 	// begins open outer-first.
-	r.AsyncBegin(0, "request", "outer", 1, 100, nil)
-	r.AsyncBegin(0, "request", "inner", 1, 100, nil)
+	r.AsyncBegin(0, "request", "outer", 1, 100)
+	r.AsyncBegin(0, "request", "inner", 1, 100)
 	var buf bytes.Buffer
 	if err := WriteChrome(&buf, r, nil); err != nil {
 		t.Fatal(err)

@@ -10,7 +10,10 @@
 // untraced one (tests assert this). When disabled, the recorder is a nil
 // pointer: every method is nil-safe, and hot call sites additionally guard
 // argument construction behind a nil check so the disabled path costs one
-// predictable branch and zero allocations.
+// predictable branch and zero allocations. When enabled, event arguments
+// are typed values (Arg) copied into a recorder-owned arena, so recording
+// an event allocates nothing beyond the amortized growth of the event and
+// argument buffers.
 //
 // Exporters: WriteChrome emits the Chrome trace-event JSON consumed by
 // chrome://tracing and https://ui.perfetto.dev; cmd/deepplan-trace turns a
@@ -18,8 +21,10 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"deepplan/internal/sim"
 	"deepplan/internal/simnet"
@@ -71,8 +76,86 @@ type Event struct {
 	Value float64
 	Name  string
 	Cat   string
-	Args  map[string]any
+	// Args are the event's arguments in recording order, backed by the
+	// recorder's arena (read-only). Look one up with Arg.
+	Args []Arg
 }
+
+// Arg returns the event's argument with the given key. When a key was
+// passed more than once, the last value wins, as it does in the export.
+func (e *Event) Arg(key string) (Arg, bool) {
+	for i := len(e.Args) - 1; i >= 0; i-- {
+		if e.Args[i].Key == key {
+			return e.Args[i], true
+		}
+	}
+	return Arg{}, false
+}
+
+// argKind is the value type an Arg carries.
+type argKind uint8
+
+const (
+	argInt argKind = iota
+	argFloat
+	argStr
+	argBool
+)
+
+// Arg is one typed event argument: a key and an integer, float, string or
+// boolean value. Build one with Int, Float, Str or Bool; the exporter
+// writes it exactly as encoding/json writes the same Go value.
+type Arg struct {
+	Key  string
+	kind argKind
+	num  uint64 // int64 bits (Int, Bool) or float64 bits (Float)
+	str  string
+}
+
+// Int returns an integer argument.
+func Int[T ~int | ~int64](key string, v T) Arg {
+	return Arg{Key: key, kind: argInt, num: uint64(int64(v))}
+}
+
+// Float returns a floating-point argument. NaN and ±Inf are recorded but
+// make WriteChrome fail, as JSON cannot represent them.
+func Float(key string, v float64) Arg {
+	return Arg{Key: key, kind: argFloat, num: math.Float64bits(v)}
+}
+
+// Str returns a string argument.
+func Str(key, v string) Arg { return Arg{Key: key, kind: argStr, str: v} }
+
+// Bool returns a boolean argument.
+func Bool(key string, v bool) Arg {
+	a := Arg{Key: key, kind: argBool}
+	if v {
+		a.num = 1
+	}
+	return a
+}
+
+// Int returns the value of an Int argument (zero for other kinds).
+func (a Arg) Int() int64 {
+	if a.kind != argInt {
+		return 0
+	}
+	return int64(a.num)
+}
+
+// Float returns the value of a Float argument (zero for other kinds).
+func (a Arg) Float() float64 {
+	if a.kind != argFloat {
+		return 0
+	}
+	return math.Float64frombits(a.num)
+}
+
+// Str returns the value of a Str argument (empty for other kinds).
+func (a Arg) Str() string { return a.str }
+
+// Bool returns the value of a Bool argument (false for other kinds).
+func (a Arg) Bool() bool { return a.kind == argBool && a.num != 0 }
 
 // Recorder accumulates events in memory. The zero value is usable; a nil
 // *Recorder is the disabled state and accepts (and drops) every call.
@@ -84,7 +167,11 @@ type Event struct {
 // fabric, and server become distinct Perfetto processes (with node labels)
 // instead of colliding on GPU ids.
 type Recorder struct {
-	events  []Event
+	events eventLog
+	// args is the current arena chunk backing recorded events' Args; root
+	// recorders only. A full chunk is left to the events that point into
+	// it and a fresh one is started, so recorded args never move.
+	args    []Arg
 	asyncID int64
 	// pidNames carries display names for remapped process ids (registered
 	// by Node); the Chrome exporter consults it before its default naming.
@@ -136,7 +223,50 @@ func (r *Recorder) mapPID(pid int) int {
 // Callers have already nil-checked r.
 func (r *Recorder) add(e Event) {
 	e.PID = r.mapPID(e.PID)
-	r.events = append(r.events, e)
+	r.events.add(e)
+}
+
+// eventChunk is the number of events per eventLog chunk.
+const eventChunk = 256
+
+// eventLog is an append-only event buffer held in fixed-size chunks, so
+// growing it never copies or reallocates recorded events: the only
+// allocation is a fresh chunk every eventChunk events.
+type eventLog struct {
+	chunks [][]Event
+	n      int
+}
+
+// add appends e.
+func (l *eventLog) add(e Event) {
+	c := l.n / eventChunk
+	if c == len(l.chunks) {
+		l.chunks = append(l.chunks, make([]Event, eventChunk))
+	}
+	l.chunks[c][l.n%eventChunk] = e
+	l.n++
+}
+
+// at returns the i-th event in insertion order.
+func (l *eventLog) at(i int) *Event { return &l.chunks[i/eventChunk][i%eventChunk] }
+
+// argChunk is the arena chunk size, in Args.
+const argChunk = 512
+
+// keep copies args into the root's arena and returns the copy (nil for no
+// args). The caller's slice does not escape, so a variadic call site
+// builds its args on the stack.
+func (r *Recorder) keep(args []Arg) []Arg {
+	if len(args) == 0 {
+		return nil
+	}
+	root := r.sink()
+	if cap(root.args)-len(root.args) < len(args) {
+		root.args = make([]Arg, 0, max(argChunk, len(args)))
+	}
+	start := len(root.args)
+	root.args = append(root.args, args...)
+	return root.args[start:len(root.args):len(root.args)]
 }
 
 // Node returns a view of r for cluster node n of servers with numGPUs GPUs
@@ -189,17 +319,22 @@ func (r *Recorder) Len() int {
 	if r == nil {
 		return 0
 	}
-	return len(r.sink().events)
+	return r.sink().events.n
 }
 
-// Events exposes the recorded events in insertion order (read-only use).
-// For a node view this is the root's full stream; view-buffered events
-// appear only after MergeViews.
+// Events returns a copy of the recorded events in insertion order. For a
+// node view this is the root's full stream; view-buffered events appear
+// only after MergeViews.
 func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
 	}
-	return r.sink().events
+	l := &r.sink().events
+	out := make([]Event, 0, l.n)
+	for _, c := range l.chunks {
+		out = append(out, c[:min(len(c), l.n-len(out))]...)
+	}
+	return out
 }
 
 // MergeViews folds every node view's buffered events into the root stream
@@ -207,41 +342,117 @@ func (r *Recorder) Events() []Event {
 // ordered by timestamp, with the root's own events first among equals and
 // node views following in node order; events from the same source keep
 // their recording order. This (timestamp, source) order is the exported
-// event order of a cluster trace. Safe to call repeatedly; a nil or view
-// recorder is a no-op.
+// event order of a cluster trace. Each source is stably ordered by
+// timestamp on its own (free when it already is), then the sources are
+// merged through a min-heap of their heads. Safe to call repeatedly; a nil
+// or view recorder is a no-op.
 func (r *Recorder) MergeViews() {
 	if r == nil || r.root != nil || len(r.views) == 0 {
 		return
 	}
-	type tagged struct {
-		src int // -1 for root events, view index otherwise
-		e   Event
+	srcs := make([]mergeSource, 0, 1+len(r.views))
+	rootOnly := true
+	for i := -1; i < len(r.views); i++ {
+		rec := r
+		if i >= 0 {
+			rec = r.views[i]
+		}
+		if rec.events.n > 0 {
+			srcs = append(srcs, mergeSource{events: rec.events, order: timeOrder(&rec.events)})
+			rootOnly = rootOnly && i < 0
+		}
 	}
-	n := len(r.events)
+	if rootOnly && (len(srcs) == 0 || srcs[0].order == nil) {
+		return // nothing buffered, and the root stream is already ordered
+	}
+	r.events = eventLog{}
 	for _, v := range r.views {
-		n += len(v.events)
+		v.events = eventLog{}
 	}
-	all := make([]tagged, 0, n)
-	for _, e := range r.events {
-		all = append(all, tagged{src: -1, e: e})
+	// heap holds indices into srcs of sources with events left, ordered by
+	// (head timestamp, source index); srcs is in root-then-node order.
+	heap := make([]int, 0, len(srcs))
+	less := func(a, b int) bool {
+		ta, tb := srcs[a].head().TS, srcs[b].head().TS
+		return ta < tb || ta == tb && a < b
 	}
-	for i, v := range r.views {
-		for _, e := range v.events {
-			all = append(all, tagged{src: i, e: e})
+	down := func(i int) {
+		for {
+			m := i
+			for c := 2*i + 1; c <= 2*i+2 && c < len(heap); c++ {
+				if less(heap[c], heap[m]) {
+					m = c
+				}
+			}
+			if m == i {
+				return
+			}
+			heap[i], heap[m] = heap[m], heap[i]
+			i = m
 		}
-		v.events = nil
 	}
-	sort.SliceStable(all, func(a, b int) bool {
-		if all[a].e.TS != all[b].e.TS {
-			return all[a].e.TS < all[b].e.TS
+	for i := range srcs {
+		heap = append(heap, i)
+	}
+	for i := len(heap)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	for len(heap) > 0 {
+		s := &srcs[heap[0]]
+		r.events.add(*s.head())
+		s.next++
+		if s.next == s.events.n {
+			heap[0] = heap[len(heap)-1]
+			heap = heap[:len(heap)-1]
 		}
-		return all[a].src < all[b].src
+		down(0)
+	}
+}
+
+// mergeSource is one recorder's events being merged, read in timestamp
+// order: through order when set, in place otherwise.
+type mergeSource struct {
+	events eventLog
+	order  []tsIndex
+	next   int
+}
+
+// head returns the source's next event in timestamp order.
+func (s *mergeSource) head() *Event {
+	if s.order != nil {
+		return s.events.at(s.order[s.next].i)
+	}
+	return s.events.at(s.next)
+}
+
+// tsIndex is an event's timestamp and recording index.
+type tsIndex struct {
+	ts sim.Time
+	i  int
+}
+
+// timeOrder returns the stable timestamp order of events as (timestamp,
+// index) pairs, or nil when events are already in timestamp order. Sorting
+// by the pair makes an unstable sort stable: recording indices are unique.
+func timeOrder(events *eventLog) []tsIndex {
+	sorted := true
+	for i := 1; i < events.n && sorted; i++ {
+		sorted = events.at(i-1).TS <= events.at(i).TS
+	}
+	if sorted {
+		return nil
+	}
+	order := make([]tsIndex, events.n)
+	for i := range order {
+		order[i] = tsIndex{events.at(i).TS, i}
+	}
+	slices.SortFunc(order, func(a, b tsIndex) int {
+		if c := cmp.Compare(a.ts, b.ts); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.i, b.i)
 	})
-	merged := make([]Event, len(all))
-	for i := range all {
-		merged[i] = all[i].e
-	}
-	r.events = merged
+	return order
 }
 
 // NextID hands out a fresh async-span ID, unique across all views of the
@@ -266,15 +477,17 @@ func (r *Recorder) Span(pid, tid int, cat, name string, start, end sim.Time) {
 	})
 }
 
-// SpanArgs is Span with attached arguments. Callers must guard the args
-// construction behind Enabled to keep the disabled path allocation-free.
-func (r *Recorder) SpanArgs(pid, tid int, cat, name string, start, end sim.Time, args map[string]any) {
+// SpanArgs is Span with attached arguments. The recorder copies args, so
+// the call does not allocate; callers still guard it behind a nil check
+// when building an argument value (a String method, a concatenation)
+// costs anything.
+func (r *Recorder) SpanArgs(pid, tid int, cat, name string, start, end sim.Time, args ...Arg) {
 	if r == nil {
 		return
 	}
 	r.add(Event{
 		Phase: PhaseSpan, PID: pid, TID: tid, TS: start,
-		Dur: end.Sub(start), Name: name, Cat: cat, Args: args,
+		Dur: end.Sub(start), Name: name, Cat: cat, Args: r.keep(args),
 	})
 }
 
@@ -288,13 +501,13 @@ func (r *Recorder) Instant(pid, tid int, cat, name string, at sim.Time) {
 	})
 }
 
-// InstantArgs is Instant with attached arguments.
-func (r *Recorder) InstantArgs(pid, tid int, cat, name string, at sim.Time, args map[string]any) {
+// InstantArgs is Instant with attached arguments (copied, as in SpanArgs).
+func (r *Recorder) InstantArgs(pid, tid int, cat, name string, at sim.Time, args ...Arg) {
 	if r == nil {
 		return
 	}
 	r.add(Event{
-		Phase: PhaseInstant, PID: pid, TID: tid, TS: at, Name: name, Cat: cat, Args: args,
+		Phase: PhaseInstant, PID: pid, TID: tid, TS: at, Name: name, Cat: cat, Args: r.keep(args),
 	})
 }
 
@@ -310,14 +523,15 @@ func (r *Recorder) Counter(pid int, name string, at sim.Time, value float64) {
 
 // AsyncBegin opens an async span. Async spans with the same (cat, id) nest,
 // and unlike Span they render correctly when spans on one track overlap —
-// which concurrent requests queued on one GPU always do.
-func (r *Recorder) AsyncBegin(pid int, cat, name string, id int64, at sim.Time, args map[string]any) {
+// which concurrent requests queued on one GPU always do. Args are copied,
+// as in SpanArgs.
+func (r *Recorder) AsyncBegin(pid int, cat, name string, id int64, at sim.Time, args ...Arg) {
 	if r == nil {
 		return
 	}
 	r.add(Event{
 		Phase: PhaseAsyncBegin, PID: pid, TID: TIDLifecycle, TS: at,
-		ID: id, Name: name, Cat: cat, Args: args,
+		ID: id, Name: name, Cat: cat, Args: r.keep(args),
 	})
 }
 

@@ -20,7 +20,7 @@ func TestNilRecorderIsSafeAndFree(t *testing.T) {
 		r.Span(0, TIDExec, "exec", "layer", 0, 10)
 		r.Instant(0, TIDLifecycle, "serving", "evict", 5)
 		r.Counter(FabricPID, "lane (GB/s)", 5, 1.5)
-		r.AsyncBegin(0, "request", "bert", r.NextID(), 0, nil)
+		r.AsyncBegin(0, "request", "bert", r.NextID(), 0)
 		r.AsyncEnd(0, "request", "bert", 0, 10)
 		r.AttachNetwork(nil)
 	})
@@ -29,6 +29,30 @@ func TestNilRecorderIsSafeAndFree(t *testing.T) {
 	}
 	if r.Len() != 0 || r.Events() != nil {
 		t.Fatal("nil recorder holds events")
+	}
+}
+
+// Typed args round-trip through an event's accessor; of repeated keys the
+// last one wins, matching the export.
+func TestEventArgLookup(t *testing.T) {
+	r := New()
+	r.InstantArgs(0, TIDLifecycle, "serving", "x", 1,
+		Int("instance", 7), Float("stall_us", 2.5), Str("why", "load"), Bool("active", true), Int("instance", 8))
+	e := r.Events()[0]
+	if a, ok := e.Arg("instance"); !ok || a.Int() != 8 {
+		t.Fatalf("instance = %v, %v; want the last value 8", a.Int(), ok)
+	}
+	if a, _ := e.Arg("stall_us"); a.Float() != 2.5 || a.Int() != 0 {
+		t.Fatalf("stall_us = %v (as int %v)", a.Float(), a.Int())
+	}
+	if a, _ := e.Arg("why"); a.Str() != "load" {
+		t.Fatalf("why = %q", a.Str())
+	}
+	if a, _ := e.Arg("active"); !a.Bool() {
+		t.Fatal("active = false")
+	}
+	if _, ok := e.Arg("missing"); ok {
+		t.Fatal("missing key found")
 	}
 }
 

@@ -9,6 +9,7 @@ bench_names=(
   BenchmarkColdStartSimulation
   BenchmarkWarmInferenceSimulation
   BenchmarkServingThousandRequests
+  BenchmarkServingThousandRequestsTraced
   BenchmarkServingThousandRequestsMonitored
   BenchmarkHistogramRecord
   BenchmarkProfileBERTBase
@@ -18,6 +19,7 @@ bench_names=(
   BenchmarkClusterHundredNodes
   BenchmarkZooPinnedCacheLookup
   BenchmarkForecastObserve
+  BenchmarkWriteChrome
 )
 bench_default_pattern="^($(IFS='|'; echo "${bench_names[*]}"))\$"
 
