@@ -90,6 +90,39 @@ func TestAllExperimentsProduceOutput(t *testing.T) {
 	}
 }
 
+// TestTelemetryGolden pins the serving experiments' -telemetry output
+// (the tables plus the per-window resource table of the representative
+// configuration) against testdata/golden/<id>-telemetry.txt. `-update`
+// regenerates them with the other golden files.
+func TestTelemetryGolden(t *testing.T) {
+	for _, id := range []string{"fig13", "fig15"} {
+		t.Run(id, func(t *testing.T) {
+			e, ok := ByID(id)
+			if !ok {
+				t.Fatalf("experiment %s not registered", id)
+			}
+			var buf bytes.Buffer
+			if err := e.Run(&buf, Options{Quick: true, Telemetry: true}); err != nil {
+				t.Fatal(err)
+			}
+			golden := filepath.Join("testdata", "golden", id+"-telemetry.txt")
+			if *update {
+				if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("%v (run with -update to create it)", err)
+			}
+			if !bytes.Equal(buf.Bytes(), want) {
+				t.Fatalf("%s -telemetry output differs from %s\n--- want ---\n%s\n--- got ---\n%s", id, golden, want, buf.Bytes())
+			}
+		})
+	}
+}
+
 // The reproduced Figure 11 must preserve the paper's ordering:
 // PT+DHA >= PT and PT+DHA >= DHA >= PipeSwitch >= 1 for every model.
 func TestFigure11Ordering(t *testing.T) {
