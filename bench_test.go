@@ -255,8 +255,8 @@ func BenchmarkServingThousandRequests(b *testing.B) {
 }
 
 // BenchmarkServingThousandRequestsTraced repeats the same operating point
-// with the trace recorder and telemetry attached, so the observation
-// overhead stays an explicit, tracked number next to the untraced baseline.
+// with the trace recorder attached, so the observation overhead stays an
+// explicit, tracked number next to the untraced baseline.
 func BenchmarkServingThousandRequestsTraced(b *testing.B) {
 	benchServingThousand(b, true, false)
 }
@@ -283,7 +283,6 @@ func benchServingThousand(b *testing.B, traced, monitored bool) {
 		opts := deepplan.ServerOptions{Policy: deepplan.ModePTDHA}
 		if traced {
 			opts.Trace = deepplan.NewTraceRecorder()
-			opts.Telemetry = true
 		}
 		if monitored {
 			opts.Monitor = deepplan.NewMetricsRegistry()

@@ -141,7 +141,6 @@ func main() {
 		SLO:         deepplan.Duration(*sloMs) * sim.Millisecond,
 		MaxBatch:    *maxBatch,
 		Trace:       rec,
-		Telemetry:   *telemetry,
 		Faults:      sched,
 		AdmitFactor: *admit,
 		Monitor:     reg,
@@ -294,12 +293,13 @@ func main() {
 		fmt.Printf("\nper-window telemetry:\n%-8s %9s %7s %7s %7s %7s %7s\n",
 			"minute", "requests", "cold%", "queue", "busy%", "evict", "reloc")
 		for _, w := range rep.Telemetry {
-			if w.Requests == 0 && w.Evictions == 0 {
+			requests, evictions := w.Count[deepplan.OccArrival], w.Count[deepplan.OccEviction]
+			if requests == 0 && evictions == 0 {
 				continue
 			}
 			fmt.Printf("%-8.0f %9d %6.1f%% %7.2f %6.1f%% %7d %7d\n",
-				w.Start.Seconds()/60, w.Requests, w.ColdRatio*100,
-				w.MeanQueueDepth, w.BusyFraction*100, w.Evictions, w.Relocations)
+				w.Start.Seconds()/60, requests, w.ColdRatio*100,
+				w.MeanQueueDepth, w.BusyFraction*100, evictions, w.Count[deepplan.OccRelocation])
 		}
 	}
 
@@ -396,7 +396,6 @@ func runCluster(nodes int, route string, autoscale bool, autoscalePolicy string,
 			Policy:   deepplan.AutoscalePolicy(autoscalePolicy),
 		},
 		Trace:           rec,
-		Telemetry:       telemetry,
 		Faults:          sched,
 		AdmitFactor:     admit,
 		Monitor:         reg,
@@ -516,12 +515,13 @@ func runCluster(nodes int, route string, autoscale bool, autoscalePolicy string,
 		fmt.Printf("\ncluster telemetry (all nodes):\n%-8s %9s %7s %7s %7s %7s\n",
 			"minute", "requests", "cold%", "queue", "busy%", "evict")
 		for _, w := range rep.Telemetry {
-			if w.Requests == 0 && w.Evictions == 0 {
+			requests, evictions := w.Count[deepplan.OccArrival], w.Count[deepplan.OccEviction]
+			if requests == 0 && evictions == 0 {
 				continue
 			}
 			fmt.Printf("%-8.0f %9d %6.1f%% %7.2f %6.1f%% %7d\n",
-				w.Start.Seconds()/60, w.Requests, w.ColdRatio*100,
-				w.MeanQueueDepth, w.BusyFraction*100, w.Evictions)
+				w.Start.Seconds()/60, requests, w.ColdRatio*100,
+				w.MeanQueueDepth, w.BusyFraction*100, evictions)
 		}
 	}
 

@@ -96,8 +96,13 @@ type (
 	// TraceRecorder.SpanArgs, InstantArgs and AsyncBegin. Build one with
 	// TraceInt, TraceFloat, TraceStr or TraceBool.
 	TraceArg = trace.Arg
-	// TelemetryStat is one window of the resource telemetry snapshot.
+	// TelemetryStat is one window of Report.Telemetry: a count per
+	// Occurrence kind, the cold-start ratio, mean queue depth and GPU busy
+	// fraction.
 	TelemetryStat = metrics.TelemetryStat
+	// Occurrence is a kind of serving occurrence; it indexes
+	// TelemetryStat.Count.
+	Occurrence = metrics.Kind
 	// FaultSchedule is a deterministic fault-injection schedule for
 	// ServerOptions.Faults. Build one with ParseFaults.
 	FaultSchedule = faults.Schedule
@@ -153,6 +158,23 @@ const (
 func AssignTokens(reqs []Request, seed int64, promptMean, outputMean int) []Request {
 	return workload.WithTokens(reqs, seed, promptMean, outputMean)
 }
+
+// Occurrence kinds, the columns of TelemetryStat.Count.
+const (
+	OccArrival      = metrics.Arrival      // a request arrives (first attempt)
+	OccColdStart    = metrics.ColdStart    // a cold-start run launches
+	OccEviction     = metrics.Eviction     // an instance loses GPU residency
+	OccRelocation   = metrics.Relocation   // a warm instance moves to a cooler GPU
+	OccDeferral     = metrics.Deferral     // a request waits for GPU memory
+	OccShed         = metrics.Shed         // a request is dropped
+	OccRetry        = metrics.Retry        // a request is retried after a GPU failure
+	OccSleep        = metrics.Sleep        // a warm instance is put to sleep
+	OccWake         = metrics.Wake         // a sleeping instance is woken
+	OccPrewarm      = metrics.Prewarm      // a prewarm actuation starts
+	OccSwapIn       = metrics.SwapIn       // a swapped-out instance is brought back
+	OccHostFetch    = metrics.HostFetch    // a fetch-to-pin into host memory starts
+	OccHostEviction = metrics.HostEviction // the host cache evicts an entry
+)
 
 // Host-memory tier policies for ServerOptions.HostPolicy.
 const (
@@ -398,8 +420,6 @@ type ServerOptions struct {
 	// Trace, when non-nil, records the serving timeline (observation-only;
 	// results are identical with tracing on or off). Export with WriteTrace.
 	Trace *TraceRecorder
-	// Telemetry enables the windowed resource snapshot in Report.Telemetry.
-	Telemetry bool
 	// Faults, when non-nil, arms a deterministic fault-injection schedule:
 	// GPU failures abort in-flight runs (affected requests are retried once
 	// on a surviving GPU), placements avoid down GPUs, and link, straggler,
@@ -449,7 +469,6 @@ func (p *Platform) NewServer(opts ServerOptions) (*Server, error) {
 		Batch:       opts.Batch,
 		MaxBatch:    opts.MaxBatch,
 		Trace:       opts.Trace,
-		Telemetry:   opts.Telemetry,
 		Faults:      opts.Faults,
 		AdmitFactor: opts.AdmitFactor,
 		Monitor:     opts.Monitor,
@@ -525,8 +544,6 @@ type ClusterOptions struct {
 	// Trace, when non-nil, records all nodes onto one timeline with
 	// per-node Perfetto track groups. Export with WriteTrace.
 	Trace *TraceRecorder
-	// Telemetry enables the cluster-aggregated windowed resource snapshot.
-	Telemetry bool
 	// Faults arms a deterministic fault-injection schedule against node 0
 	// (failures strike one machine; the router works around it). Build with
 	// ParseFaults.
@@ -578,7 +595,6 @@ func (p *Platform) NewCluster(opts ClusterOptions) (*Cluster, error) {
 		MaxBatch:        opts.MaxBatch,
 		Autoscale:       opts.Autoscale,
 		Trace:           opts.Trace,
-		Telemetry:       opts.Telemetry,
 		Faults:          opts.Faults,
 		AdmitFactor:     opts.AdmitFactor,
 		Monitor:         opts.Monitor,

@@ -149,7 +149,8 @@ type Config struct {
 	Route RoutePolicy
 	// SLO is the latency target. Default 100 ms.
 	SLO sim.Duration
-	// WindowWidth buckets per-window series and telemetry. Default 1 minute.
+	// WindowWidth is the width of every node's report windows and of the
+	// aggregated Report.Telemetry. Default 1 minute.
 	WindowWidth sim.Duration
 	// Batch is the per-inference engine batch size on every node. Default 1
 	// (the paper's serving setting).
@@ -163,9 +164,6 @@ type Config struct {
 	// processes (trace.Recorder node views), and router/autoscaler events
 	// land on the cluster router track. Observation-only, as everywhere.
 	Trace *trace.Recorder
-	// Telemetry enables per-node windowed telemetry and its cluster-level
-	// aggregation in Report.Telemetry.
-	Telemetry bool
 	// Faults arms a fault-injection schedule against node 0 (the blast
 	// radius of real incidents is a machine, not a fleet): that node's GPUs
 	// fail and recover, its links degrade, and the router — which only sees
@@ -397,7 +395,6 @@ func New(cfg Config) (*Cluster, error) {
 			Faults:             sched,
 			AdmitFactor:        cfg.AdmitFactor,
 			Trace:              c.rec.Node(i, topo.NumGPUs()),
-			Telemetry:          cfg.Telemetry,
 			Monitor:            c.mon.Node(i),
 			HostPolicy:         cfg.HostPolicy,
 			HostMemory:         cfg.HostMemory,
@@ -1055,8 +1052,7 @@ type Report struct {
 	Horizon sim.Duration
 
 	PerNode []NodeStat
-	// Telemetry is the cluster-level aggregation of every node's windowed
-	// telemetry; nil unless Config.Telemetry was set.
+	// Telemetry aggregates every node's windows (metrics.Telemetry).
 	Telemetry []metrics.TelemetryStat
 	// Alerts is the SLO burn-rate monitor's alert log in firing order; nil
 	// unless Config.Monitor and Config.Alerts were both set.
@@ -1076,7 +1072,7 @@ func (c *Cluster) report(requests int) (*Report, error) {
 	end := c.sim.Now()
 	var all, cold, warm, ttft metrics.Digest
 	var decodeSeqSum int
-	var perNode [][]metrics.TelemetryStat
+	windows := make([]*metrics.Windows, 0, len(c.nodes))
 	for _, n := range c.nodes {
 		rep, err := n.srv.Finish()
 		if err != nil {
@@ -1117,13 +1113,9 @@ func (c *Cluster) report(requests int) (*Report, error) {
 			Shed:       rep.Shed,
 			P99:        rep.P99,
 		})
-		if c.cfg.Telemetry {
-			perNode = append(perNode, rep.Telemetry)
-		}
+		windows = append(windows, n.srv.Windows())
 	}
-	if c.cfg.Telemetry {
-		r.Telemetry = metrics.MergeTelemetry(perNode...)
-	}
+	r.Telemetry = metrics.Telemetry(end, windows...)
 	r.P50, r.P99, r.Max, r.Mean = all.P50(), all.P99(), all.Max(), all.Mean()
 	r.ColdP50, r.ColdP99 = cold.P50(), cold.P99()
 	r.WarmP99 = warm.P99()

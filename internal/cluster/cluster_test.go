@@ -103,7 +103,7 @@ func TestClusterUsableAfterUnknownModelRun(t *testing.T) {
 }
 
 func TestClusterRunCompletes(t *testing.T) {
-	c := newBERTCluster(t, Config{Nodes: 2, Telemetry: true}, 0)
+	c := newBERTCluster(t, Config{Nodes: 2}, 0)
 	reqs := toCluster("BERT-Base", workload.Poisson(7, 100, 800, c.models["BERT-Base"].active))
 	rep, err := c.Run(reqs)
 	if err != nil {
@@ -132,7 +132,7 @@ func TestClusterRunCompletes(t *testing.T) {
 		t.Fatalf("cold p99 %v should exceed warm p99 %v", rep.ColdP99, rep.WarmP99)
 	}
 	if len(rep.Telemetry) == 0 {
-		t.Fatal("telemetry requested but empty")
+		t.Fatal("telemetry empty")
 	}
 	if len(rep.Replicas) != 1 || rep.Replicas[0].Active != rep.Replicas[0].Max {
 		t.Fatalf("without autoscaling all replicas stay active: %+v", rep.Replicas)
@@ -141,7 +141,7 @@ func TestClusterRunCompletes(t *testing.T) {
 
 func TestClusterDeterminism(t *testing.T) {
 	run := func() *Report {
-		c := newBERTCluster(t, Config{Nodes: 2, Route: RouteLeastOutstanding, Telemetry: true}, 0)
+		c := newBERTCluster(t, Config{Nodes: 2, Route: RouteLeastOutstanding}, 0)
 		reqs := toCluster("BERT-Base", workload.Poisson(11, 120, 600, c.models["BERT-Base"].active))
 		rep, err := c.Run(reqs)
 		if err != nil {
@@ -521,7 +521,6 @@ func TestPredictiveRerunIdentical(t *testing.T) {
 			Nodes:       2,
 			WindowWidth: 10 * sim.Second,
 			Trace:       rec,
-			Telemetry:   true,
 			Autoscale: AutoscaleConfig{
 				Enabled:  true,
 				Interval: sim.Second,

@@ -22,16 +22,15 @@ var servingPolicies = []serving.Policy{
 }
 
 // runServing deploys count instances of one model, warms up, and replays
-// the request sequence. rec and telemetry attach observation-only
-// instrumentation to this one run (both off for plain sweep points).
-func runServing(policy serving.Policy, modelName string, count int, reqs []workload.Request, slo sim.Duration, rec *trace.Recorder, telemetry bool) (*serving.Report, error) {
+// the request sequence. rec, when non-nil, traces this one run
+// (observation-only; nil for plain sweep points).
+func runServing(policy serving.Policy, modelName string, count int, reqs []workload.Request, slo sim.Duration, rec *trace.Recorder) (*serving.Report, error) {
 	srv, err := serving.New(serving.Config{
-		Topo:      topology.P38xlarge(),
-		Cost:      costmodel.Default(),
-		Policy:    policy,
-		SLO:       slo,
-		Trace:     rec,
-		Telemetry: telemetry,
+		Topo:   topology.P38xlarge(),
+		Cost:   costmodel.Default(),
+		Policy: policy,
+		SLO:    slo,
+		Trace:  rec,
 	})
 	if err != nil {
 		return nil, err
@@ -65,12 +64,13 @@ func printTelemetry(w io.Writer, stats []metrics.TelemetryStat) {
 	fmt.Fprintf(w, "%-8s %9s %7s %7s %7s %7s %7s\n",
 		"minute", "requests", "cold%", "queue", "busy%", "evict", "reloc")
 	for _, s := range stats {
-		if s.Requests == 0 && s.Evictions == 0 {
+		requests, evictions := s.Count[metrics.Arrival], s.Count[metrics.Eviction]
+		if requests == 0 && evictions == 0 {
 			continue
 		}
 		fmt.Fprintf(w, "%-8.0f %9d %6.1f%% %7.2f %6.1f%% %7d %7d\n",
-			s.Start.Seconds()/60, s.Requests, s.ColdRatio*100,
-			s.MeanQueueDepth, s.BusyFraction*100, s.Evictions, s.Relocations)
+			s.Start.Seconds()/60, requests, s.ColdRatio*100,
+			s.MeanQueueDepth, s.BusyFraction*100, evictions, s.Count[metrics.Relocation])
 	}
 }
 
@@ -121,8 +121,7 @@ func Figure13(w io.Writer, opts Options) error {
 			pr = rec
 		}
 		reqs := workload.Poisson(42, 100, requests, p.conc)
-		rep, err := runServing(p.pol, "bert-base", p.conc, reqs, 100*sim.Millisecond,
-			pr, i == tracedIdx && opts.Telemetry)
+		rep, err := runServing(p.pol, "bert-base", p.conc, reqs, 100*sim.Millisecond, pr)
 		if err != nil {
 			return err
 		}
@@ -202,7 +201,7 @@ func Figure14(w io.Writer, opts Options) error {
 	err := runner.ForEach(opts.Workers, len(points), func(i int) error {
 		p := &points[i]
 		reqs := workload.Poisson(7, p.rate, requests, p.conc)
-		rep, err := runServing(p.pol, p.model, p.conc, reqs, 100*sim.Millisecond, nil, false)
+		rep, err := runServing(p.pol, p.model, p.conc, reqs, 100*sim.Millisecond, nil)
 		if err != nil {
 			return err
 		}
@@ -275,12 +274,11 @@ func Figure15(w io.Writer, opts Options) error {
 			rec = pr
 		}
 		srv, err := serving.New(serving.Config{
-			Topo:      topology.P38xlarge(),
-			Cost:      costmodel.Default(),
-			Policy:    pol,
-			SLO:       100 * sim.Millisecond,
-			Trace:     pr,
-			Telemetry: instrument && opts.Telemetry,
+			Topo:   topology.P38xlarge(),
+			Cost:   costmodel.Default(),
+			Policy: pol,
+			SLO:    100 * sim.Millisecond,
+			Trace:  pr,
 		})
 		if err != nil {
 			return err
@@ -309,7 +307,7 @@ func Figure15(w io.Writer, opts Options) error {
 		}
 		fmt.Fprintf(w, "%-12s %9.1f %9.1f %8.1f%% %11d %8.0fms\n",
 			pol, ms(rep.P50), ms(rep.P99), rep.Goodput*100, rep.ColdStarts, ms(worst))
-		if instrument && opts.Telemetry {
+		if instrument {
 			telStats = rep.Telemetry
 		}
 	}

@@ -1,10 +1,10 @@
 // Package metrics provides the latency/goodput accounting the paper's
 // serving evaluation reports: percentile digests, SLO goodput, cold-start
-// ratios, and per-window time series (Figure 13–15).
+// ratios, and the per-window table (Figure 13–15) in which a server counts
+// every serving occurrence once (windows.go).
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -120,274 +120,3 @@ func (d *Digest) Merge(o *Digest) {
 // secs converts float seconds back to a Duration, rounding to the nearest
 // nanosecond (plain truncation loses 1 ns on values like 31578.999...).
 func secs(s float64) sim.Duration { return sim.Duration(math.Round(s * 1e9)) }
-
-// windowsCovering returns how many width-sized windows are needed to cover
-// [0, horizon). A horizon of zero needs none.
-func windowsCovering(horizon sim.Time, width sim.Duration) int {
-	if horizon <= 0 {
-		return 0
-	}
-	return int((horizon + sim.Time(width) - 1) / sim.Time(width))
-}
-
-// WindowStat is one time bucket of a Series.
-type WindowStat struct {
-	Start      sim.Time
-	Requests   int
-	ColdStarts int
-	P99        sim.Duration
-	Goodput    float64
-}
-
-// Series buckets request records into fixed windows (the paper uses
-// per-minute buckets over the 3-hour trace in Figure 15).
-type Series struct {
-	window  sim.Duration
-	slo     sim.Duration
-	digests []*Digest
-	colds   []int
-}
-
-// NewSeries returns a Series with the given bucket width and SLO.
-func NewSeries(window, slo sim.Duration) *Series {
-	if window <= 0 {
-		panic(fmt.Sprintf("metrics: window must be positive, got %v", window))
-	}
-	return &Series{window: window, slo: slo}
-}
-
-// Record adds one request observation at the given arrival instant.
-func (s *Series) Record(at sim.Time, latency sim.Duration, cold bool) {
-	idx := int(at / sim.Time(s.window))
-	for len(s.digests) <= idx {
-		s.digests = append(s.digests, &Digest{})
-		s.colds = append(s.colds, 0)
-	}
-	s.digests[idx].Add(latency)
-	if cold {
-		s.colds[idx]++
-	}
-}
-
-// Stats returns the per-window summary, in time order, covering every
-// window up to the horizon (the end of the traced run). Windows after the
-// last recorded event are emitted explicitly as empty — without them a
-// fig15-style per-minute table silently ends at the last arrival and a
-// quiet tail is indistinguishable from a truncated trace. A horizon of
-// zero (or one inside the recorded extent) reports the recorded windows
-// only.
-func (s *Series) Stats(horizon sim.Time) []WindowStat {
-	n := len(s.digests)
-	if hw := windowsCovering(horizon, s.window); hw > n {
-		n = hw
-	}
-	out := make([]WindowStat, n)
-	for i := range out {
-		out[i] = WindowStat{
-			Start:   sim.Time(i) * sim.Time(s.window),
-			Goodput: 1, // an empty window misses nothing
-		}
-		if i < len(s.digests) {
-			d := s.digests[i]
-			out[i].Requests = d.Count()
-			out[i].ColdStarts = s.colds[i]
-			out[i].P99 = d.P99()
-			out[i].Goodput = d.GoodputRate(s.slo)
-		}
-	}
-	return out
-}
-
-// Telemetry buckets resource-level serving observations into fixed windows:
-// cold-start ratio, queue depth at arrival, GPU busy time, and
-// eviction/relocation/deferral counts. It complements Series (which tracks
-// latency) with the per-resource signals a serving operator watches —
-// Clockwork and Orca both debug tail latency from exactly this telemetry.
-// All inputs are virtual-time instants, so collection is deterministic and
-// observation-only.
-type Telemetry struct {
-	window  sim.Duration
-	numGPUs int
-	windows []telemetryWindow
-}
-
-type telemetryWindow struct {
-	requests    int
-	coldStarts  int
-	evictions   int
-	relocations int
-	deferred    int
-	shed        int
-	retried     int
-	queueSum    int64
-	busy        sim.Duration
-}
-
-// TelemetryStat is one window of the telemetry snapshot, with derived
-// ratios computed.
-type TelemetryStat struct {
-	Start       sim.Time
-	Requests    int
-	ColdStarts  int
-	Evictions   int
-	Relocations int
-	Deferred    int
-	// Shed counts requests dropped by the SLO admission controller or after
-	// a failed retry; Retried counts requests re-dispatched after a GPU
-	// failure aborted their run. Both stay zero without fault injection.
-	Shed    int
-	Retried int
-	// ColdRatio is ColdStarts/Requests (0 for an empty window).
-	ColdRatio float64
-	// MeanQueueDepth averages the total outstanding runs across all GPUs,
-	// sampled at each request arrival.
-	MeanQueueDepth float64
-	// BusyFraction is summed GPU busy time over numGPUs*window capacity.
-	BusyFraction float64
-}
-
-// NewTelemetry returns a Telemetry with the given bucket width over a
-// server with numGPUs devices.
-func NewTelemetry(window sim.Duration, numGPUs int) *Telemetry {
-	if window <= 0 {
-		panic(fmt.Sprintf("metrics: telemetry window must be positive, got %v", window))
-	}
-	if numGPUs <= 0 {
-		panic(fmt.Sprintf("metrics: telemetry needs at least one GPU, got %d", numGPUs))
-	}
-	return &Telemetry{window: window, numGPUs: numGPUs}
-}
-
-func (t *Telemetry) at(at sim.Time) *telemetryWindow {
-	idx := int(at / sim.Time(t.window))
-	for len(t.windows) <= idx {
-		t.windows = append(t.windows, telemetryWindow{})
-	}
-	return &t.windows[idx]
-}
-
-// Arrival records one request arrival and the total queue depth
-// (outstanding runs across all GPUs) observed at that instant.
-func (t *Telemetry) Arrival(at sim.Time, queueDepth int) {
-	w := t.at(at)
-	w.requests++
-	w.queueSum += int64(queueDepth)
-}
-
-// ColdStart records a cold-start launch.
-func (t *Telemetry) ColdStart(at sim.Time) { t.at(at).coldStarts++ }
-
-// Eviction records an instance eviction.
-func (t *Telemetry) Eviction(at sim.Time) { t.at(at).evictions++ }
-
-// Relocation records a warm instance moving to a cooler GPU.
-func (t *Telemetry) Relocation(at sim.Time) { t.at(at).relocations++ }
-
-// Deferred records a request parked on the waitlist for lack of memory.
-func (t *Telemetry) Deferred(at sim.Time) { t.at(at).deferred++ }
-
-// Shed records a request dropped by admission control or a failed retry.
-func (t *Telemetry) Shed(at sim.Time) { t.at(at).shed++ }
-
-// Retried records a request re-dispatched after a GPU failure.
-func (t *Telemetry) Retried(at sim.Time) { t.at(at).retried++ }
-
-// Busy credits one GPU with busy time over [from, to), split across the
-// windows the interval overlaps.
-func (t *Telemetry) Busy(from, to sim.Time) {
-	for from < to {
-		w := t.at(from)
-		end := (from/sim.Time(t.window) + 1) * sim.Time(t.window)
-		if end > to {
-			end = to
-		}
-		w.busy += end.Sub(from)
-		from = end
-	}
-}
-
-// Stats returns the per-window telemetry snapshot, in time order, covering
-// every window up to the horizon (the end of the traced run; zero reports
-// the recorded windows only). The horizon serves two corrections: windows
-// after the last recorded event appear explicitly as empty, and the trailing
-// *partial* window's busy capacity is clamped to the fraction of the window
-// the run actually covered — dividing its busy time by a full window's
-// capacity understates BusyFraction in the last bucket whenever the horizon
-// is not a multiple of the window.
-func (t *Telemetry) Stats(horizon sim.Time) []TelemetryStat {
-	n := len(t.windows)
-	if hw := windowsCovering(horizon, t.window); hw > n {
-		n = hw
-	}
-	out := make([]TelemetryStat, n)
-	for i := range out {
-		start := sim.Time(i) * sim.Time(t.window)
-		end := start.Add(t.window)
-		if horizon > start && horizon < end {
-			end = horizon // final partial window: capacity ends at the horizon
-		}
-		capacity := float64(t.numGPUs) * end.Sub(start).Seconds()
-		s := TelemetryStat{Start: start}
-		if i < len(t.windows) {
-			w := &t.windows[i]
-			s.Requests = w.requests
-			s.ColdStarts = w.coldStarts
-			s.Evictions = w.evictions
-			s.Relocations = w.relocations
-			s.Deferred = w.deferred
-			s.Shed = w.shed
-			s.Retried = w.retried
-			s.BusyFraction = w.busy.Seconds() / capacity
-			if w.requests > 0 {
-				s.ColdRatio = float64(w.coldStarts) / float64(w.requests)
-				s.MeanQueueDepth = float64(w.queueSum) / float64(w.requests)
-			}
-		}
-		out[i] = s
-	}
-	return out
-}
-
-// MergeTelemetry aggregates per-node telemetry snapshots (as produced by
-// Telemetry.Stats over servers with identical window widths and GPU counts)
-// into one cluster-level series: counts sum, BusyFraction averages across
-// nodes (every node contributes equal capacity per window), and the ratio
-// fields are recomputed from the summed counts.
-func MergeTelemetry(perNode ...[]TelemetryStat) []TelemetryStat {
-	n := 0
-	for _, s := range perNode {
-		if len(s) > n {
-			n = len(s)
-		}
-	}
-	if n == 0 || len(perNode) == 0 {
-		return nil
-	}
-	out := make([]TelemetryStat, n)
-	for i := range out {
-		var busy float64
-		var queueWeighted float64
-		for _, node := range perNode {
-			if i >= len(node) {
-				continue
-			}
-			w := node[i]
-			out[i].Start = w.Start
-			out[i].Requests += w.Requests
-			out[i].ColdStarts += w.ColdStarts
-			out[i].Evictions += w.Evictions
-			out[i].Relocations += w.Relocations
-			out[i].Deferred += w.Deferred
-			out[i].Shed += w.Shed
-			out[i].Retried += w.Retried
-			busy += w.BusyFraction
-			queueWeighted += w.MeanQueueDepth * float64(w.Requests)
-		}
-		out[i].BusyFraction = busy / float64(len(perNode))
-		if out[i].Requests > 0 {
-			out[i].ColdRatio = float64(out[i].ColdStarts) / float64(out[i].Requests)
-			out[i].MeanQueueDepth = queueWeighted / float64(out[i].Requests)
-		}
-	}
-	return out
-}

@@ -168,11 +168,11 @@ func TestPropertyGoodputMonotone(t *testing.T) {
 }
 
 func TestSeries(t *testing.T) {
-	s := NewSeries(sim.Second*60, 100*sim.Millisecond)
-	s.Record(sim.Time(10*sim.Second), 50*sim.Millisecond, false)
-	s.Record(sim.Time(30*sim.Second), 200*sim.Millisecond, true)
-	s.Record(sim.Time(70*sim.Second), 80*sim.Millisecond, false)
-	stats := s.Stats(0) // zero horizon: recorded windows only
+	ws := NewWindows(sim.Second*60, 100*sim.Millisecond, 1)
+	ws.Served(sim.Time(10*sim.Second), 50*sim.Millisecond, false)
+	ws.Served(sim.Time(30*sim.Second), 200*sim.Millisecond, true)
+	ws.Served(sim.Time(70*sim.Second), 80*sim.Millisecond, false)
+	stats := ws.PerWindow(0) // zero horizon: recorded windows only
 	if len(stats) != 2 {
 		t.Fatalf("windows = %d, want 2", len(stats))
 	}
@@ -191,20 +191,23 @@ func TestSeries(t *testing.T) {
 	}
 }
 
-// Regression: Stats used to end at the last *recorded* event, so a
-// fig15-style per-minute table over a trace with a quiet tail stopped
-// early; the horizon must produce explicit empty windows to the end.
+// Regression: the per-window table used to end at the last *recorded*
+// event, so a fig15-style per-minute table over a trace with a quiet tail
+// stopped early; the horizon must produce explicit empty windows to the end.
 func TestSeriesExtendsToHorizon(t *testing.T) {
-	s := NewSeries(sim.Second*60, 100*sim.Millisecond)
-	s.Record(sim.Time(10*sim.Second), 50*sim.Millisecond, false)
+	ws := NewWindows(sim.Second*60, 100*sim.Millisecond, 1)
+	ws.Served(sim.Time(10*sim.Second), 50*sim.Millisecond, false)
+	// A window holding occurrences but no served request is empty in the
+	// latency projection.
+	ws.Note(sim.Time(70*sim.Second), Eviction)
 	// Run continues to 4.5 minutes with no further arrivals.
-	stats := s.Stats(sim.Time(270 * sim.Second))
+	stats := ws.PerWindow(sim.Time(270 * sim.Second))
 	if len(stats) != 5 {
 		t.Fatalf("windows = %d, want 5 (horizon 4.5 min)", len(stats))
 	}
 	for i := 1; i < 5; i++ {
 		w := stats[i]
-		if w.Requests != 0 || w.ColdStarts != 0 {
+		if w.Requests != 0 || w.ColdStarts != 0 || w.P99 != 0 {
 			t.Fatalf("window %d not empty: %+v", i, w)
 		}
 		if w.Start != sim.Time(i)*sim.Time(60*sim.Second) {
@@ -215,8 +218,8 @@ func TestSeriesExtendsToHorizon(t *testing.T) {
 		}
 	}
 	// A horizon inside the recorded extent must not truncate.
-	if got := len(s.Stats(sim.Time(30 * sim.Second))); got != 1 {
-		t.Fatalf("short horizon windows = %d, want 1", got)
+	if got := len(ws.PerWindow(sim.Time(30 * sim.Second))); got != 2 {
+		t.Fatalf("short horizon windows = %d, want 2", got)
 	}
 }
 
@@ -226,7 +229,7 @@ func TestSeriesBadWindowPanics(t *testing.T) {
 			t.Fatal("zero window did not panic")
 		}
 	}()
-	NewSeries(0, sim.Second)
+	NewWindows(0, sim.Second, 1)
 }
 
 // TestQuantileSortCaching pins the sorted-flag contract: the first Quantile

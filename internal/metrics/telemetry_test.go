@@ -7,22 +7,22 @@ import (
 )
 
 func TestTelemetryWindows(t *testing.T) {
-	tel := NewTelemetry(10*sim.Second, 4)
-	tel.Arrival(1*sim.Time(sim.Second), 2)
-	tel.Arrival(3*sim.Time(sim.Second), 4)
-	tel.ColdStart(3 * sim.Time(sim.Second))
-	tel.Eviction(3 * sim.Time(sim.Second))
-	tel.Arrival(15*sim.Time(sim.Second), 0)
-	tel.Relocation(15 * sim.Time(sim.Second))
-	tel.Deferred(16 * sim.Time(sim.Second))
-	tel.Busy(2*sim.Time(sim.Second), 7*sim.Time(sim.Second))
+	ws := NewWindows(10*sim.Second, sim.Second, 4)
+	ws.Arrival(1*sim.Time(sim.Second), 2)
+	ws.Arrival(3*sim.Time(sim.Second), 4)
+	ws.Note(3*sim.Time(sim.Second), ColdStart)
+	ws.Note(3*sim.Time(sim.Second), Eviction)
+	ws.Arrival(15*sim.Time(sim.Second), 0)
+	ws.Note(15*sim.Time(sim.Second), Relocation)
+	ws.Note(16*sim.Time(sim.Second), Deferral)
+	ws.Busy(2*sim.Time(sim.Second), 7*sim.Time(sim.Second))
 
-	stats := tel.Stats(20 * sim.Time(sim.Second))
+	stats := Telemetry(20*sim.Time(sim.Second), ws)
 	if len(stats) != 2 {
 		t.Fatalf("windows = %d, want 2", len(stats))
 	}
 	w0, w1 := stats[0], stats[1]
-	if w0.Requests != 2 || w0.ColdStarts != 1 || w0.Evictions != 1 {
+	if w0.Count[Arrival] != 2 || w0.Count[ColdStart] != 1 || w0.Count[Eviction] != 1 {
 		t.Fatalf("window 0 = %+v", w0)
 	}
 	if w0.ColdRatio != 0.5 {
@@ -35,20 +35,25 @@ func TestTelemetryWindows(t *testing.T) {
 	if w0.BusyFraction != 0.125 {
 		t.Fatalf("busy fraction = %v, want 0.125", w0.BusyFraction)
 	}
-	if w1.Requests != 1 || w1.Relocations != 1 || w1.Deferred != 1 {
+	if w1.Count[Arrival] != 1 || w1.Count[Relocation] != 1 || w1.Count[Deferral] != 1 {
 		t.Fatalf("window 1 = %+v", w1)
 	}
 	if w1.Start != sim.Time(10*sim.Second) {
 		t.Fatalf("window 1 start = %v", w1.Start)
+	}
+	for k, want := range map[Kind]int{Arrival: 3, ColdStart: 1, Eviction: 1, Relocation: 1, Deferral: 1, Shed: 0} {
+		if got := ws.Total(k); got != want {
+			t.Fatalf("total %v = %d, want %d", k, got, want)
+		}
 	}
 }
 
 // A busy interval spanning window boundaries must credit each window only
 // with its own share.
 func TestTelemetryBusySplitsAcrossWindows(t *testing.T) {
-	tel := NewTelemetry(10*sim.Second, 1)
-	tel.Busy(8*sim.Time(sim.Second), 23*sim.Time(sim.Second))
-	stats := tel.Stats(30 * sim.Time(sim.Second))
+	ws := NewWindows(10*sim.Second, sim.Second, 1)
+	ws.Busy(8*sim.Time(sim.Second), 23*sim.Time(sim.Second))
+	stats := Telemetry(30*sim.Time(sim.Second), ws)
 	if len(stats) != 3 {
 		t.Fatalf("windows = %d, want 3", len(stats))
 	}
@@ -61,9 +66,9 @@ func TestTelemetryBusySplitsAcrossWindows(t *testing.T) {
 }
 
 func TestTelemetryEmptyWindowRatios(t *testing.T) {
-	tel := NewTelemetry(10*sim.Second, 2)
-	tel.Eviction(5 * sim.Time(sim.Second)) // window exists but has no requests
-	w := tel.Stats(0)[0]
+	ws := NewWindows(10*sim.Second, sim.Second, 2)
+	ws.Note(5*sim.Time(sim.Second), Eviction) // window exists but has no requests
+	w := Telemetry(0, ws)[0]
 	if w.ColdRatio != 0 || w.MeanQueueDepth != 0 {
 		t.Fatalf("empty-window ratios = %+v; want zeros", w)
 	}
@@ -73,10 +78,10 @@ func TestTelemetryEmptyWindowRatios(t *testing.T) {
 // by a full window's capacity, understating BusyFraction in the last bucket
 // whenever the run's horizon is not a multiple of the window width.
 func TestTelemetryPartialFinalWindowCapacity(t *testing.T) {
-	tel := NewTelemetry(10*sim.Second, 2)
+	ws := NewWindows(10*sim.Second, sim.Second, 2)
 	// The run ends at 14 s: the second window covers only [10 s, 14 s).
-	tel.Busy(10*sim.Time(sim.Second), 14*sim.Time(sim.Second))
-	stats := tel.Stats(14 * sim.Time(sim.Second))
+	ws.Busy(10*sim.Time(sim.Second), 14*sim.Time(sim.Second))
+	stats := Telemetry(14*sim.Time(sim.Second), ws)
 	if len(stats) != 2 {
 		t.Fatalf("windows = %d, want 2", len(stats))
 	}
@@ -86,9 +91,9 @@ func TestTelemetryPartialFinalWindowCapacity(t *testing.T) {
 		t.Fatalf("partial-window busy fraction = %v, want 0.5", got)
 	}
 	// Full windows are unaffected by the clamp.
-	tel2 := NewTelemetry(10*sim.Second, 2)
-	tel2.Busy(0, 10*sim.Time(sim.Second))
-	if got := tel2.Stats(20 * sim.Time(sim.Second))[0].BusyFraction; got != 0.5 {
+	ws2 := NewWindows(10*sim.Second, sim.Second, 2)
+	ws2.Busy(0, 10*sim.Time(sim.Second))
+	if got := Telemetry(20*sim.Time(sim.Second), ws2)[0].BusyFraction; got != 0.5 {
 		t.Fatalf("full-window busy fraction = %v, want 0.5", got)
 	}
 }
@@ -96,14 +101,14 @@ func TestTelemetryPartialFinalWindowCapacity(t *testing.T) {
 // Regression: telemetry windows after the last recorded event were omitted;
 // a quiet tail must appear as explicit empty windows up to the horizon.
 func TestTelemetryExtendsToHorizon(t *testing.T) {
-	tel := NewTelemetry(10*sim.Second, 2)
-	tel.Arrival(1*sim.Time(sim.Second), 0)
-	stats := tel.Stats(35 * sim.Time(sim.Second))
+	ws := NewWindows(10*sim.Second, sim.Second, 2)
+	ws.Arrival(1*sim.Time(sim.Second), 0)
+	stats := Telemetry(35*sim.Time(sim.Second), ws)
 	if len(stats) != 4 {
 		t.Fatalf("windows = %d, want 4 (horizon 35 s)", len(stats))
 	}
 	for i := 1; i < 4; i++ {
-		if stats[i].Requests != 0 || stats[i].BusyFraction != 0 {
+		if stats[i].Count != [NumKinds]int{} || stats[i].BusyFraction != 0 {
 			t.Fatalf("window %d not empty: %+v", i, stats[i])
 		}
 	}
@@ -112,21 +117,24 @@ func TestTelemetryExtendsToHorizon(t *testing.T) {
 	}
 }
 
+// TestMergeTelemetry checks the cluster aggregation of several nodes'
+// windows: counts sum, busy fractions average over nodes, and queue depth
+// is weighted by each node's arrivals.
 func TestMergeTelemetry(t *testing.T) {
-	a := NewTelemetry(10*sim.Second, 2)
-	b := NewTelemetry(10*sim.Second, 2)
+	a := NewWindows(10*sim.Second, sim.Second, 2)
+	b := NewWindows(10*sim.Second, sim.Second, 2)
 	a.Arrival(1*sim.Time(sim.Second), 4)
-	a.ColdStart(1 * sim.Time(sim.Second))
+	a.Note(1*sim.Time(sim.Second), ColdStart)
 	a.Busy(0, 5*sim.Time(sim.Second))
 	b.Arrival(2*sim.Time(sim.Second), 2)
 	b.Arrival(12*sim.Time(sim.Second), 0)
-	b.Eviction(12 * sim.Time(sim.Second))
-	merged := MergeTelemetry(a.Stats(20*sim.Time(sim.Second)), b.Stats(20*sim.Time(sim.Second)))
+	b.Note(12*sim.Time(sim.Second), Eviction)
+	merged := Telemetry(20*sim.Time(sim.Second), a, b)
 	if len(merged) != 2 {
 		t.Fatalf("merged windows = %d, want 2", len(merged))
 	}
 	w0 := merged[0]
-	if w0.Requests != 2 || w0.ColdStarts != 1 {
+	if w0.Count[Arrival] != 2 || w0.Count[ColdStart] != 1 {
 		t.Fatalf("merged window 0 = %+v", w0)
 	}
 	if w0.ColdRatio != 0.5 {
@@ -139,23 +147,29 @@ func TestMergeTelemetry(t *testing.T) {
 	if w0.MeanQueueDepth != 3 {
 		t.Fatalf("merged queue depth = %v, want 3", w0.MeanQueueDepth)
 	}
-	if merged[1].Requests != 1 || merged[1].Evictions != 1 {
+	if merged[1].Count[Arrival] != 1 || merged[1].Count[Eviction] != 1 {
 		t.Fatalf("merged window 1 = %+v", merged[1])
 	}
-	if MergeTelemetry() != nil {
-		t.Fatal("empty merge not nil")
+	if Telemetry(0) != nil {
+		t.Fatal("telemetry over no nodes not nil")
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("mixed window widths accepted")
+		}
+	}()
+	Telemetry(0, a, NewWindows(sim.Second, sim.Second, 2))
 }
 
 func TestTelemetryValidation(t *testing.T) {
 	for _, fn := range []func(){
-		func() { NewTelemetry(0, 1) },
-		func() { NewTelemetry(sim.Second, 0) },
+		func() { NewWindows(0, sim.Second, 1) },
+		func() { NewWindows(sim.Second, sim.Second, 0) },
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatal("invalid telemetry config accepted")
+					t.Fatal("invalid window config accepted")
 				}
 			}()
 			fn()

@@ -39,5 +39,9 @@
 //
 // Everything runs on the virtual clock (package sim): identical
 // configuration and workload replay byte-identically, with tracing,
-// telemetry, and fault bookkeeping all observation-only.
+// monitoring, and fault bookkeeping all observation-only. Every serving
+// occurrence (arrival, cold start, eviction, shed, ...) is counted once,
+// through note, into the server's window table (metrics.Windows); the
+// report totals, Report.PerWindow, Report.Telemetry and the monitor
+// counters all read that one count.
 package serving

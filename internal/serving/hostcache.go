@@ -6,6 +6,7 @@ import (
 
 	"deepplan/internal/dnn"
 	"deepplan/internal/hostmem"
+	"deepplan/internal/metrics"
 	"deepplan/internal/registry"
 	"deepplan/internal/trace"
 )
@@ -63,12 +64,6 @@ func (srv *Server) DeployZoo(z *registry.Zoo) error {
 	return nil
 }
 
-// HostStats returns the pinned-cache tier's lookup hits and misses and its
-// eviction count, for cluster-level merging.
-func (srv *Server) HostStats() (hits, misses, evictions int) {
-	return srv.host.Hits(), srv.host.Misses(), srv.host.Evictions()
-}
-
 // HostPinned returns the bytes currently pinned in host memory.
 func (srv *Server) HostPinned() int64 { return srv.host.Pinned() }
 
@@ -95,12 +90,16 @@ func (srv *Server) relieveHostPressure() bool {
 	return true
 }
 
-// startFetch begins the fetch-to-pin for an admitted cold request whose
-// weights are not host-resident: the entry is admitted (evicting per the
-// host policy), locked for the duration, and after FetchEst the normal
-// cold path continues. Arrivals during the fetch coalesced onto fetchWait
-// and re-dispatch when it lands.
-func (srv *Server) startFetch(inst *Instance, p pending, fresh bool) {
+// fetchToPin starts the fetch-to-pin of inst's weights, which are not
+// host-resident: the entry is admitted (evicting per the host policy),
+// locked for the duration, and after FetchEst the weights land. p is the
+// demand request waiting on the fetch, which then serves it with a cold
+// start; fresh marks its first deferral should it have to park. A nil p
+// is a prewarm: it counts as one, starts a background load on landing, and
+// is abandoned instead of parked or shed when host memory cannot take the
+// weights now. Arrivals during the fetch coalesce onto fetchWait and
+// re-dispatch when it lands. It reports whether the fetch started.
+func (srv *Server) fetchToPin(inst *Instance, p *pending, fresh bool) bool {
 	dep := inst.dep
 	now := srv.sim.Now()
 	var e *hostmem.Entry
@@ -109,28 +108,36 @@ func (srv *Server) startFetch(inst *Instance, p pending, fresh bool) {
 		var err error
 		e, victims, err = srv.host.Admit(inst.pinName, dep.Model.TotalParamBytes(),
 			dep.LoadEst, inst.popularity, now)
-		srv.noteHostEvictions(victims, inst.pinName)
+		srv.noteHostEvictions(victims, inst)
 		if err == nil {
 			break
 		}
-		if errors.Is(err, hostmem.ErrCacheBusy) {
-			// Every resident entry is locked (warm or mid-fetch). Unlock one
-			// by evicting an idle warm instance from its GPU — host pressure
-			// must propagate to GPU residency, or a cache full of warm-locked
-			// entries would park every fetch forever.
-			if srv.relieveHostPressure() {
-				continue
-			}
-			// Nothing idle to evict; park until a completion unlocks an entry.
-			srv.park(inst, p, fresh)
-			return
+		busy := errors.Is(err, hostmem.ErrCacheBusy)
+		// Every resident entry is locked (warm or mid-fetch). Unlock one by
+		// evicting an idle warm instance from its GPU — host pressure must
+		// propagate to GPU residency, or a cache full of warm-locked
+		// entries would park every fetch forever.
+		if busy && srv.relieveHostPressure() {
+			continue
 		}
-		// The model cannot fit in host memory at all.
-		srv.shedRequest(inst, p, "host-capacity")
-		return
+		switch {
+		case p == nil:
+			// The prewarm lapses; the spike will pay on demand.
+		case busy:
+			// Nothing idle to evict; park until a completion unlocks an entry.
+			srv.park(inst, *p, fresh)
+		default:
+			// The model cannot fit in host memory at all.
+			srv.shedRequest(inst, *p, "host-capacity")
+		}
+		return false
 	}
 	e.SetLocked(true)
 	inst.fetching = true
+	if p == nil {
+		srv.notePrewarm(inst)
+	}
+	srv.note(metrics.HostFetch, inst)
 	if srv.rec != nil {
 		srv.rec.InstantArgs(trace.ServerPID, trace.TIDLifecycle, "serving",
 			"host-fetch "+dep.Model.Name, now,
@@ -139,19 +146,21 @@ func (srv *Server) startFetch(inst *Instance, p pending, fresh bool) {
 			trace.Float("fetch_us", float64(dep.FetchEst)/1e3),
 		)
 	}
-	if srv.ins != nil {
-		srv.ins.hostFetches.Inc()
-		srv.ins.hostPinned.Set(float64(srv.host.Pinned()))
-	}
+	srv.ins.hostPinned.Set(float64(srv.host.Pinned()))
 	srv.sim.After(dep.FetchEst, func() {
 		inst.fetching = false
 		waiters := inst.fetchWait
 		inst.fetchWait = nil
-		if srv.place(inst) {
-			srv.startCold(inst, p)
-		} else {
-			e.SetLocked(false) // evictable again while parked
-			srv.park(inst, p, fresh)
+		switch {
+		case !srv.place(inst):
+			e.SetLocked(false) // evictable again while parked, or the prewarm lapses
+			if p != nil {
+				srv.park(inst, *p, fresh)
+			}
+		case p != nil:
+			srv.startCold(inst, *p)
+		default:
+			srv.startPrewarmLoad(inst)
 		}
 		for _, w := range waiters {
 			if inst.state == Warm {
@@ -161,4 +170,5 @@ func (srv *Server) startFetch(inst *Instance, p pending, fresh bool) {
 			srv.startColdPath(inst, w, true)
 		}
 	})
+	return true
 }

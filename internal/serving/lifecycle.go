@@ -1,10 +1,9 @@
 package serving
 
 import (
-	"errors"
-
 	"deepplan/internal/engine"
 	"deepplan/internal/hostmem"
+	"deepplan/internal/metrics"
 	"deepplan/internal/sim"
 	"deepplan/internal/trace"
 )
@@ -54,20 +53,14 @@ func (srv *Server) setState(inst *Instance, to InstanceState, why string) {
 func (srv *Server) notePromotion(inst *Instance, prev InstanceState, gs *gpuState) {
 	switch prev {
 	case Sleeping:
-		srv.wakes++
-		if srv.ins != nil {
-			srv.ins.wakes.Inc()
-		}
+		srv.note(metrics.Wake, inst)
 		if srv.rec != nil {
 			srv.rec.InstantArgs(gs.id, trace.TIDLifecycle, "serving",
 				"wake "+inst.dep.Model.Name, srv.sim.Now(),
 				trace.Int("instance", inst.ID))
 		}
 	case Swapped:
-		srv.swapIns++
-		if srv.ins != nil {
-			srv.ins.swapIns.Inc()
-		}
+		srv.note(metrics.SwapIn, inst)
 		if srv.rec != nil {
 			srv.rec.InstantArgs(gs.id, trace.TIDLifecycle, "serving",
 				"swap-in "+inst.dep.Model.Name, srv.sim.Now(),
@@ -76,20 +69,19 @@ func (srv *Server) notePromotion(inst *Instance, prev InstanceState, gs *gpuStat
 	}
 }
 
-// noteHostEvictions records cache-tier victims (trace + monitor) and
-// demotes any Sleeping instance whose pinned copy was just pushed out to
-// Swapped — from here on, activating it costs a full fetch-to-pin again.
-func (srv *Server) noteHostEvictions(victims []hostmem.Evicted, forName string) {
+// noteHostEvictions records the cache-tier victims of admitting by's
+// weights and demotes any Sleeping instance whose pinned copy was just
+// pushed out to Swapped — from here on, activating it costs a full
+// fetch-to-pin again.
+func (srv *Server) noteHostEvictions(victims []hostmem.Evicted, by *Instance) {
 	now := srv.sim.Now()
 	for _, v := range victims {
 		if srv.rec != nil {
 			srv.rec.InstantArgs(trace.ServerPID, trace.TIDLifecycle, "serving",
 				"host-evict "+v.Name, now,
-				trace.Int("bytes", v.Bytes), trace.Str("for", forName))
+				trace.Int("bytes", v.Bytes), trace.Str("for", by.pinName))
 		}
-		if srv.ins != nil {
-			srv.ins.hostEvictions.Inc()
-		}
+		srv.note(metrics.HostEviction, by)
 		if inst, ok := srv.byPin[v.Name]; ok && inst.state == Sleeping {
 			srv.swapOuts++
 			if srv.rec != nil {
@@ -151,16 +143,13 @@ func (srv *Server) SleepInstance(id int) bool {
 		e.SetLocked(false)
 	}
 	srv.setState(inst, Sleeping, "sleep")
-	srv.sleeps++
+	srv.note(metrics.Sleep, inst)
 	if srv.rec != nil {
 		srv.rec.InstantArgs(gs.id, trace.TIDLifecycle, "serving",
 			"sleep "+inst.dep.Model.Name, srv.sim.Now(),
 			trace.Int("instance", inst.ID))
 	}
 	srv.memCounter(gs)
-	if srv.ins != nil {
-		srv.ins.sleeps.Inc()
-	}
 	return true
 }
 
@@ -189,15 +178,12 @@ func (srv *Server) PrewarmInstance(id int) bool {
 		srv.startPrewarmLoad(inst)
 		return true
 	}
-	return srv.prewarmFetch(inst)
+	return srv.fetchToPin(inst, nil, false)
 }
 
 // notePrewarm counts one started prewarm actuation.
 func (srv *Server) notePrewarm(inst *Instance) {
-	srv.prewarms++
-	if srv.ins != nil {
-		srv.ins.prewarms.Inc()
-	}
+	srv.note(metrics.Prewarm, inst)
 	if srv.rec != nil {
 		srv.rec.InstantArgs(trace.ServerPID, trace.TIDLifecycle, "serving",
 			"prewarm "+inst.dep.Model.Name, srv.sim.Now(),
@@ -249,63 +235,6 @@ func (srv *Server) startPrewarmLoad(inst *Instance) {
 	if err := srv.eng.Start(spec); err != nil {
 		panic("serving: prewarm load rejected: " + err.Error())
 	}
-}
-
-// prewarmFetch is PrewarmInstance's fetch-to-pin path for instances whose
-// weights are not host-resident. Unlike the demand path it carries no
-// request: if host memory cannot be freed right now the prewarm is simply
-// abandoned (returns false) instead of parking anything.
-func (srv *Server) prewarmFetch(inst *Instance) bool {
-	dep := inst.dep
-	now := srv.sim.Now()
-	var e *hostmem.Entry
-	for {
-		var victims []hostmem.Evicted
-		var err error
-		e, victims, err = srv.host.Admit(inst.pinName, dep.Model.TotalParamBytes(),
-			dep.LoadEst, inst.popularity, now)
-		srv.noteHostEvictions(victims, inst.pinName)
-		if err == nil {
-			break
-		}
-		if errors.Is(err, hostmem.ErrCacheBusy) && srv.relieveHostPressure() {
-			continue
-		}
-		return false // cannot make room; the spike will pay on demand
-	}
-	e.SetLocked(true)
-	inst.fetching = true
-	srv.notePrewarm(inst)
-	if srv.rec != nil {
-		srv.rec.InstantArgs(trace.ServerPID, trace.TIDLifecycle, "serving",
-			"host-fetch "+dep.Model.Name, now,
-			trace.Int("instance", inst.ID),
-			trace.Int("bytes", dep.Model.TotalParamBytes()),
-			trace.Float("fetch_us", float64(dep.FetchEst)/1e3),
-		)
-	}
-	if srv.ins != nil {
-		srv.ins.hostFetches.Inc()
-		srv.ins.hostPinned.Set(float64(srv.host.Pinned()))
-	}
-	srv.sim.After(dep.FetchEst, func() {
-		inst.fetching = false
-		waiters := inst.fetchWait
-		inst.fetchWait = nil
-		if srv.place(inst) {
-			srv.startPrewarmLoad(inst)
-		} else {
-			e.SetLocked(false) // evictable again; the prewarm lapses
-		}
-		for _, w := range waiters {
-			if inst.state == Warm {
-				srv.startWarm(inst, w)
-				continue
-			}
-			srv.startColdPath(inst, w, true)
-		}
-	})
-	return true
 }
 
 // ExecEstimate returns the named deployment's uncontended warm execution

@@ -5,6 +5,7 @@ import (
 
 	"deepplan/internal/costmodel"
 	"deepplan/internal/hostmem"
+	"deepplan/internal/metrics"
 	"deepplan/internal/sim"
 	"deepplan/internal/topology"
 	"deepplan/internal/workload"
@@ -31,8 +32,8 @@ func TestSleepReleasesGPUAndKeepsHostCopy(t *testing.T) {
 	if e.Locked() {
 		t.Fatal("sleeping instance's host entry still locked (would never be evictable)")
 	}
-	if srv.sleeps != 1 {
-		t.Fatalf("sleeps = %d, want 1", srv.sleeps)
+	if n := srv.win.Total(metrics.Sleep); n != 1 {
+		t.Fatalf("sleeps = %d, want 1", n)
 	}
 	// Sleeping again is a no-op: the instance is no longer warm.
 	if srv.SleepInstance(0) {
@@ -247,7 +248,7 @@ func TestPrewarmAbandonedUnderLockedCache(t *testing.T) {
 	for _, id := range []int{1, 2} {
 		srv.Instances()[id].inflight--
 	}
-	if srv.prewarms != 0 {
-		t.Fatalf("abandoned prewarm still counted: %d", srv.prewarms)
+	if n := srv.win.Total(metrics.Prewarm); n != 0 {
+		t.Fatalf("abandoned prewarm still counted: %d", n)
 	}
 }

@@ -192,7 +192,7 @@ func (srv *Server) llmPrefillDone(inst *Instance, reqs []pending, res *engine.Re
 
 // llmRecordFirst records a request's time-to-first-token: into the cold or
 // warm digest (the class split every figure reports), the TTFT digest, the
-// per-window series, the monitor, and the trace — exactly the surface
+// windows, the monitor, and the trace — exactly the surface
 // record() covers in single-shot mode, minus completion (the request is
 // still generating).
 func (srv *Server) llmRecordFirst(req workload.Request, res *engine.Result, cold bool) {
@@ -203,19 +203,8 @@ func (srv *Server) llmRecordFirst(req workload.Request, res *engine.Result, cold
 	} else {
 		srv.warmDigest.Add(ttft)
 	}
-	srv.series.Record(req.At, ttft, cold)
-	if srv.ins != nil {
-		class := 1 // warm
-		if cold {
-			class = 0
-		}
-		m := srv.instances[req.Instance].dep.mon
-		m.requests[class].Inc()
-		if ttft > srv.cfg.SLO {
-			m.violations[class].Inc()
-		}
-		m.latency[class].Observe(ttft.Seconds())
-	}
+	srv.win.Served(req.At, ttft, cold)
+	srv.instances[req.Instance].dep.mon.served(ttft, srv.cfg.SLO, cold)
 	if srv.rec != nil {
 		srv.traceSeq++
 		id := srv.traceSeq

@@ -63,7 +63,8 @@ type Config struct {
 	// batching delays latency-critical cold-starts, §5.2). Applies to warm
 	// inferences only.
 	MaxBatch int
-	// WindowWidth buckets the per-window series. Default 1 minute.
+	// WindowWidth is the width of the report's windows (Report.PerWindow,
+	// Report.Telemetry). Default 1 minute.
 	WindowWidth sim.Duration
 	// Trace, when non-nil, records the full request lifecycle (arrive →
 	// queue → cold-load/warm-hit → batch → execute → complete), instant
@@ -72,9 +73,6 @@ type Config struct {
 	// stream spans and per-link PCIe/NVLink bandwidth counters. Tracing is
 	// observation-only: a traced run is byte-identical to an untraced one.
 	Trace *trace.Recorder
-	// Telemetry enables the windowed resource snapshot (cold-start ratio,
-	// queue depth, GPU busy fraction, eviction counts) in Report.Telemetry.
-	Telemetry bool
 	// Faults, when non-nil and non-empty, arms a fault-injection schedule
 	// against this run: the engine becomes failable, GPU failures abort
 	// in-flight runs (each affected request is retried once on a surviving
@@ -263,7 +261,7 @@ type gpuState struct {
 	// and secondary selection all skip it until recovery.
 	down bool
 	// busySince is the instant queued last went 0→1; meaningful only while
-	// queued > 0 and only when telemetry is enabled.
+	// queued > 0.
 	busySince sim.Time
 }
 
@@ -288,37 +286,26 @@ type Server struct {
 	// evictions can demote a Sleeping instance to Swapped.
 	byPin map[string]*Instance
 
-	rec      *trace.Recorder    // nil when tracing is off
-	tel      *metrics.Telemetry // nil when telemetry is off
-	ins      *instruments       // nil when monitoring is off
-	inj      *faults.Injector   // nil when no fault schedule is armed
-	traceSeq int64              // request ids for async lifecycle spans
+	rec      *trace.Recorder  // nil when tracing is off
+	ins      *instruments     // handles are nil when monitoring is off
+	inj      *faults.Injector // nil when no fault schedule is armed
+	traceSeq int64            // request ids for async lifecycle spans
 
+	// win counts every occurrence (note) and buckets latency and busy time
+	// per window; the report's occurrence totals read it.
+	win             *metrics.Windows
 	digest          metrics.Digest
 	coldDigest      metrics.Digest // latency of requests served by a cold-start run
 	warmDigest      metrics.Digest
 	ttftDigest      metrics.Digest // time-to-first-token (LLM mode)
-	series          *metrics.Series
-	submitted       int
-	coldStarts      int
 	ptFallbacks     int
-	relocations     int
-	evictions       int
 	batchedRuns     int
 	batchedRequests int
-	deferred        int // requests that had to wait for memory
-	shed            int // requests dropped by admission or a failed retry
-	retried         int // requests re-dispatched after a GPU failure
 	degraded        int // requests completed while a fault window was open
 	gpuFailures     int
-	// Lifecycle actuation counters (predictive autoscaling).
-	sleeps    int // Warm→Sleeping demotions
-	wakes     int // Sleeping→Warm activations (one DHA load from the host copy)
-	prewarms  int // PrewarmInstance actuations that started a load or fetch
-	swapIns   int // Swapped→Warm activations (host fetch + load)
-	swapOuts  int // Sleeping→Swapped demotions under host-cache pressure
-	waitlist  []waiting
-	completed int
+	swapOuts        int // Sleeping→Swapped demotions under host-cache pressure
+	waitlist        []waiting
+	completed       int
 
 	// Autoregressive-mode counters (zero when Config.LLM is off).
 	tokensGenerated int
@@ -419,14 +406,11 @@ func New(cfg Config) (*Server, error) {
 		host:        host,
 		deployments: map[string]*Deployment{},
 		byPin:       map[string]*Instance{},
-		series:      metrics.NewSeries(cfg.WindowWidth, cfg.SLO),
+		win:         metrics.NewWindows(cfg.WindowWidth, cfg.SLO, cfg.Topo.NumGPUs()),
 		rec:         cfg.Trace,
+		ins:         newInstruments(cfg.Monitor, cfg.Topo.NumGPUs()),
 	}
 	srv.rec.AttachNetwork(net) // no-op when tracing is off
-	if cfg.Telemetry {
-		srv.tel = metrics.NewTelemetry(cfg.WindowWidth, cfg.Topo.NumGPUs())
-	}
-	srv.ins = newInstruments(cfg.Monitor, cfg.Policy, cfg.Topo.NumGPUs())
 	for _, g := range cfg.Topo.GPUs {
 		usable := g.MemoryBytes - cfg.ReservePerGPU
 		if usable <= 0 {
@@ -457,7 +441,7 @@ func New(cfg Config) (*Server, error) {
 // onFaultEvent records fault window transitions onto the trace timeline
 // and counts window openings per kind in the registry.
 func (srv *Server) onFaultEvent(e faults.Event, active bool) {
-	if srv.ins != nil && active && int(e.Kind) < len(srv.ins.faultEvents) {
+	if active && int(e.Kind) < len(srv.ins.faultEvents) {
 		srv.ins.faultEvents[e.Kind].Inc()
 	}
 	if srv.rec == nil {
@@ -482,10 +466,8 @@ func (srv *Server) onGPUDown(id int) {
 	}
 	gs.down = true
 	srv.gpuFailures++
-	if srv.ins != nil {
-		srv.ins.gpuFailures[id].Inc()
-		srv.ins.gpuUp[id].Set(0)
-	}
+	srv.ins.gpu[id].failures.Inc()
+	srv.ins.gpu[id].up.Set(0)
 	if srv.rec != nil {
 		srv.rec.InstantArgs(gs.id, trace.TIDLifecycle, "faults",
 			"gpu-fail", srv.sim.Now(), trace.Int("gpu", id))
@@ -519,9 +501,7 @@ func (srv *Server) onGPUUp(id int) {
 	gs := srv.gpus[id]
 	gs.down = false
 	srv.eng.RecoverGPU(id)
-	if srv.ins != nil {
-		srv.ins.gpuUp[id].Set(1)
-	}
+	srv.ins.gpu[id].up.Set(1)
 	if srv.rec != nil {
 		srv.rec.InstantArgs(gs.id, trace.TIDLifecycle, "faults",
 			"gpu-recover", srv.sim.Now(), trace.Int("gpu", id))
@@ -715,10 +695,7 @@ func (srv *Server) Run(requests []workload.Request) (*Report, error) {
 			return nil, fmt.Errorf("serving: request for unknown instance %d", r.Instance)
 		}
 		req := r
-		srv.sim.At(req.At, func() {
-			srv.submitted++
-			srv.handle(req)
-		})
+		srv.sim.At(req.At, func() { srv.handle(req) })
 	}
 	srv.sim.Run()
 	return srv.Finish()
@@ -732,7 +709,6 @@ func (srv *Server) Submit(req workload.Request) error {
 	if req.Instance < 0 || req.Instance >= len(srv.instances) {
 		return fmt.Errorf("serving: request for unknown instance %d", req.Instance)
 	}
-	srv.submitted++
 	srv.handle(req)
 	return nil
 }
@@ -741,11 +717,12 @@ func (srv *Server) Submit(req workload.Request) error {
 // or shed) and returns the report. It is called after the driving clock —
 // private (Run) or shared (cluster) — has run to quiescence.
 func (srv *Server) Finish() (*Report, error) {
-	if srv.completed+srv.shed != srv.submitted {
+	submitted, shed := srv.win.Total(metrics.Arrival), srv.win.Total(metrics.Shed)
+	if srv.completed+shed != submitted {
 		return nil, fmt.Errorf("serving: %d of %d requests completed (%d shed)",
-			srv.completed, srv.submitted, srv.shed)
+			srv.completed, submitted, shed)
 	}
-	return srv.report(srv.submitted), nil
+	return srv.report(submitted), nil
 }
 
 // Outstanding returns the number of inference runs currently queued or
@@ -787,7 +764,11 @@ func (srv *Server) WarmInstances(model string) int {
 
 // ColdStartCount returns the cumulative cold-start count so far; the
 // cluster autoscaler differences it per window for its cold-ratio signal.
-func (srv *Server) ColdStartCount() int { return srv.coldStarts }
+func (srv *Server) ColdStartCount() int { return srv.win.Total(metrics.ColdStart) }
+
+// Windows exposes the server's window table for cluster-level aggregation.
+// Read-only use after the run has finished.
+func (srv *Server) Windows() *metrics.Windows { return srv.win }
 
 // Digests exposes the latency digests (all / cold-served / warm-served)
 // for cluster-level merging. Read-only use after the run has finished.
@@ -806,19 +787,8 @@ func (srv *Server) handle(req workload.Request) {
 func (srv *Server) dispatch(p pending) {
 	inst := srv.instances[p.req.Instance]
 	inst.lastUsed = srv.sim.Now()
-	if (srv.tel != nil || srv.ins != nil) && p.attempt == 0 {
-		depth := 0
-		for _, g := range srv.gpus {
-			depth += g.queued
-		}
-		if srv.tel != nil {
-			srv.tel.Arrival(srv.sim.Now(), depth)
-		}
-		if srv.ins != nil {
-			srv.ins.arrivals.Inc()
-			srv.ins.depth.Set(float64(depth))
-			srv.ins.depthH.Observe(float64(depth))
-		}
+	if p.attempt == 0 {
+		srv.note(metrics.Arrival, inst)
 	}
 	if inst.state == Warm && srv.shouldRelocate(inst) {
 		// The instance's GPU is congested while another is nearly idle:
@@ -832,13 +802,7 @@ func (srv *Server) dispatch(p pending) {
 				trace.Int("instance", inst.ID))
 		}
 		srv.evict(inst)
-		srv.relocations++
-		if srv.tel != nil {
-			srv.tel.Relocation(srv.sim.Now())
-		}
-		if srv.ins != nil {
-			srv.ins.relocations.Inc()
-		}
+		srv.note(metrics.Relocation, inst)
 	}
 	if inst.state == Warm {
 		srv.startWarm(inst, p)
@@ -871,23 +835,18 @@ func (srv *Server) startColdPath(inst *Instance, p pending, fresh bool) {
 		srv.startCold(inst, p)
 		return
 	}
-	srv.startFetch(inst, p, fresh)
+	fetched := p // a copy, so only the fetch path moves it to the heap
+	srv.fetchToPin(inst, &fetched, fresh)
 }
 
 // park puts a request on the waitlist; count marks a first-time deferral.
 func (srv *Server) park(inst *Instance, p pending, count bool) {
 	if count {
-		srv.deferred++
+		srv.note(metrics.Deferral, inst)
 		if srv.rec != nil {
 			srv.rec.InstantArgs(trace.ServerPID, trace.TIDLifecycle, "serving",
 				"defer "+inst.dep.Model.Name, srv.sim.Now(),
 				trace.Int("instance", inst.ID), trace.Int("waitlist", len(srv.waitlist)+1))
-		}
-		if srv.tel != nil {
-			srv.tel.Deferred(srv.sim.Now())
-		}
-		if srv.ins != nil {
-			srv.ins.deferred.Inc()
 		}
 	}
 	srv.waitlist = append(srv.waitlist, waiting{inst, p})
@@ -938,13 +897,7 @@ func (srv *Server) minQueuedAlive() int {
 
 // shedRequest drops a request permanently, counting it toward Report.Shed.
 func (srv *Server) shedRequest(inst *Instance, p pending, why string) {
-	srv.shed++
-	if srv.tel != nil {
-		srv.tel.Shed(srv.sim.Now())
-	}
-	if srv.ins != nil {
-		srv.ins.shed.Inc()
-	}
+	srv.note(metrics.Shed, inst)
 	if srv.rec != nil {
 		srv.rec.InstantArgs(trace.ServerPID, trace.TIDLifecycle, "serving",
 			"shed "+inst.dep.Model.Name, srv.sim.Now(),
@@ -960,13 +913,7 @@ func (srv *Server) retryOrShed(inst *Instance, p pending) {
 		srv.shedRequest(inst, p, "retry-failed")
 		return
 	}
-	srv.retried++
-	if srv.tel != nil {
-		srv.tel.Retried(srv.sim.Now())
-	}
-	if srv.ins != nil {
-		srv.ins.retried.Inc()
-	}
+	srv.note(metrics.Retry, inst)
 	if srv.rec != nil {
 		srv.rec.InstantArgs(trace.ServerPID, trace.TIDLifecycle, "serving",
 			"retry "+inst.dep.Model.Name, srv.sim.Now(),
@@ -975,11 +922,27 @@ func (srv *Server) retryOrShed(inst *Instance, p pending) {
 	srv.dispatch(pending{req: p.req, attempt: p.attempt + 1})
 }
 
+// note records one occurrence of kind k for inst: its window count and run
+// total, and the kind's monitor counter. An arrival also samples the queue
+// depth it found.
+func (srv *Server) note(k metrics.Kind, inst *Instance) {
+	now := srv.sim.Now()
+	if k == metrics.Arrival {
+		depth := srv.Outstanding()
+		srv.win.Arrival(now, depth)
+		srv.ins.depth.Set(float64(depth))
+		srv.ins.depthH.Observe(float64(depth))
+	} else {
+		srv.win.Note(now, k)
+	}
+	inst.dep.mon.kinds[k].Inc()
+}
+
 // busyUp marks one more outstanding run on gs, starting the busy clock on
-// the 0→1 transition when telemetry is on.
+// the 0→1 transition.
 func (srv *Server) busyUp(gs *gpuState) {
 	gs.queued++
-	if (srv.tel != nil || srv.ins != nil) && gs.queued == 1 {
+	if gs.queued == 1 {
 		gs.busySince = srv.sim.Now()
 	}
 }
@@ -989,12 +952,9 @@ func (srv *Server) busyUp(gs *gpuState) {
 func (srv *Server) busyDown(gs *gpuState) {
 	gs.queued--
 	if gs.queued == 0 {
-		if srv.tel != nil {
-			srv.tel.Busy(gs.busySince, srv.sim.Now())
-		}
-		if srv.ins != nil {
-			srv.ins.gpuBusy[gs.id].Add(srv.sim.Now().Sub(gs.busySince).Seconds())
-		}
+		now := srv.sim.Now()
+		srv.win.Busy(gs.busySince, now)
+		srv.ins.gpu[gs.id].busy.Add(now.Sub(gs.busySince).Seconds())
 	}
 }
 
@@ -1189,34 +1149,22 @@ func (srv *Server) evict(inst *Instance) {
 	if e, ok := srv.host.Peek(inst.pinName); ok {
 		e.SetLocked(false)
 	}
-	srv.evictions++
+	srv.note(metrics.Eviction, inst)
 	if srv.rec != nil {
 		srv.rec.InstantArgs(gs.id, trace.TIDLifecycle, "serving",
 			"evict "+inst.dep.Model.Name, srv.sim.Now(),
 			trace.Int("instance", inst.ID))
 	}
 	srv.memCounter(gs)
-	if srv.tel != nil {
-		srv.tel.Eviction(srv.sim.Now())
-	}
-	if srv.ins != nil {
-		srv.ins.evictions.Inc()
-	}
 }
 
 // startCold launches the cold-start run that also serves the request.
 func (srv *Server) startCold(inst *Instance, p pending) {
-	srv.coldStarts++
+	srv.note(metrics.ColdStart, inst)
 	gs := srv.gpus[inst.gpu]
 	srv.busyUp(gs)
 	gs.activeColds++
 	inst.inflight++
-	if srv.tel != nil {
-		srv.tel.ColdStart(srv.sim.Now())
-	}
-	if srv.ins != nil {
-		inst.dep.mon.coldStarts.Inc()
-	}
 
 	coldPlan := inst.dep.Plan
 	var secondaries []int
@@ -1427,23 +1375,12 @@ func (srv *Server) record(req workload.Request, res *engine.Result, cold bool) {
 	} else {
 		srv.warmDigest.Add(lat)
 	}
-	srv.series.Record(req.At, lat, cold)
+	srv.win.Served(req.At, lat, cold)
 	srv.completed++
 	if srv.inj != nil && srv.inj.Active() > 0 {
 		srv.degraded++
 	}
-	if srv.ins != nil {
-		class := 1 // warm
-		if cold {
-			class = 0
-		}
-		m := srv.instances[req.Instance].dep.mon
-		m.requests[class].Inc()
-		if lat > srv.cfg.SLO {
-			m.violations[class].Inc()
-		}
-		m.latency[class].Observe(lat.Seconds())
-	}
+	srv.instances[req.Instance].dep.mon.served(lat, srv.cfg.SLO, cold)
 	if srv.rec != nil {
 		// One async row per request: an outer span covering the whole
 		// lifetime with the latency breakdown attached to its begin event
@@ -1654,7 +1591,7 @@ type Report struct {
 	WarmP99          sim.Duration
 	Goodput          float64 // fraction of requests within the SLO
 	ColdStarts       int
-	ColdStartRate    float64
+	ColdStartRate    float64 // ColdStarts/Requests (0 without requests)
 	// PTFallbacks counts cold-starts that degraded to the single-GPU plan
 	// because no transmission partner was free.
 	PTFallbacks int
@@ -1681,10 +1618,12 @@ type Report struct {
 	// miss means the request paid a fetch-to-pin before its cold-start plan
 	// could begin. HostEvictions counts entries the cache policy pushed out
 	// of host memory under capacity pressure. Misses and evictions are zero
-	// under the legacy pinned host policy (every lookup hits).
+	// under the legacy pinned host policy (every lookup hits). HostFetches
+	// counts the fetch-to-pin operations started, demand and prewarm alike.
 	HostHits      int
 	HostMisses    int
 	HostEvictions int
+	HostFetches   int
 	// HostPinned is the bytes pinned in host memory at the end of the run,
 	// against Config.HostMemory.
 	HostPinned int64
@@ -1711,13 +1650,16 @@ type Report struct {
 	MeanDecodeBatch  float64 // average sequences advanced per iteration
 	KVDeferred       int     // KV admission deferral events
 	KVTransfers      int     // prefill→decode KV handoffs
-	PerWindow        []metrics.WindowStat
-	// Telemetry is the windowed resource snapshot; nil unless
-	// Config.Telemetry was set.
+	// PerWindow (latency) and Telemetry (occurrences, queue depth, GPU
+	// busy fraction) are two projections of the run's window table,
+	// through the end of the run.
+	PerWindow []metrics.WindowStat
 	Telemetry []metrics.TelemetryStat
 }
 
 func (srv *Server) report(n int) *Report {
+	total := srv.win.Total
+	now := srv.sim.Now()
 	r := &Report{
 		Policy:          srv.cfg.Policy,
 		Requests:        n,
@@ -1729,35 +1671,39 @@ func (srv *Server) report(n int) *Report {
 		ColdP99:         srv.coldDigest.P99(),
 		WarmP99:         srv.warmDigest.P99(),
 		Goodput:         srv.digest.GoodputRate(srv.cfg.SLO),
-		ColdStarts:      srv.coldStarts,
-		ColdStartRate:   float64(srv.coldStarts) / float64(n),
+		ColdStarts:      total(metrics.ColdStart),
 		PTFallbacks:     srv.ptFallbacks,
-		Relocations:     srv.relocations,
+		Relocations:     total(metrics.Relocation),
 		BatchedRuns:     srv.batchedRuns,
 		BatchedRequests: srv.batchedRequests,
-		Evictions:       srv.evictions,
-		Deferred:        srv.deferred,
-		Sleeps:          srv.sleeps,
-		Wakes:           srv.wakes,
-		Prewarms:        srv.prewarms,
-		SwapIns:         srv.swapIns,
+		Evictions:       total(metrics.Eviction),
+		Deferred:        total(metrics.Deferral),
+		Sleeps:          total(metrics.Sleep),
+		Wakes:           total(metrics.Wake),
+		Prewarms:        total(metrics.Prewarm),
+		SwapIns:         total(metrics.SwapIn),
 		SwapOuts:        srv.swapOuts,
 		HostHits:        srv.host.Hits(),
 		HostMisses:      srv.host.Misses(),
-		HostEvictions:   srv.host.Evictions(),
+		HostEvictions:   total(metrics.HostEviction),
+		HostFetches:     total(metrics.HostFetch),
 		HostPinned:      srv.host.Pinned(),
-		Shed:            srv.shed,
-		Retried:         srv.retried,
+		Shed:            total(metrics.Shed),
+		Retried:         total(metrics.Retry),
 		Degraded:        srv.degraded,
 		GPUFailures:     srv.gpuFailures,
 		WarmCapacity:    srv.WarmCapacity(),
-		PerWindow:       srv.series.Stats(srv.sim.Now()),
+		PerWindow:       srv.win.PerWindow(now),
+		Telemetry:       metrics.Telemetry(now, srv.win),
+	}
+	if n > 0 {
+		r.ColdStartRate = float64(r.ColdStarts) / float64(n)
 	}
 	if srv.cfg.LLM.Enabled {
 		r.TTFTP50 = srv.ttftDigest.P50()
 		r.TTFTP99 = srv.ttftDigest.P99()
 		r.TokensGenerated = srv.tokensGenerated
-		if secs := srv.sim.Now().Seconds(); secs > 0 {
+		if secs := now.Seconds(); secs > 0 {
 			r.TokenRate = float64(srv.tokensGenerated) / secs
 		}
 		r.DecodeIters = srv.decodeIters
@@ -1766,9 +1712,6 @@ func (srv *Server) report(n int) *Report {
 		}
 		r.KVDeferred = srv.kvDeferred
 		r.KVTransfers = srv.kvTransfers
-	}
-	if srv.tel != nil {
-		r.Telemetry = srv.tel.Stats(srv.sim.Now())
 	}
 	srv.finalizeMonitor()
 	return r

@@ -6,24 +6,23 @@ import (
 	"testing"
 
 	"deepplan/internal/costmodel"
+	"deepplan/internal/metrics"
 	"deepplan/internal/sim"
 	"deepplan/internal/topology"
 	"deepplan/internal/trace"
 	"deepplan/internal/workload"
 )
 
-// tracedServer builds a server with a fresh recorder (and telemetry when
-// asked) attached.
-func tracedServer(t *testing.T, policy Policy, telemetry bool) (*Server, *trace.Recorder) {
+// tracedServer builds a server with a fresh recorder attached.
+func tracedServer(t *testing.T, policy Policy) (*Server, *trace.Recorder) {
 	t.Helper()
 	rec := trace.New()
 	srv, err := New(Config{
-		Topo:      topology.P38xlarge(),
-		Cost:      costmodel.Default(),
-		Policy:    policy,
-		SLO:       100 * sim.Millisecond,
-		Trace:     rec,
-		Telemetry: telemetry,
+		Topo:   topology.P38xlarge(),
+		Cost:   costmodel.Default(),
+		Policy: policy,
+		SLO:    100 * sim.Millisecond,
+		Trace:  rec,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -43,13 +42,13 @@ func countInstants(rec *trace.Recorder, prefix string) int {
 }
 
 // TestTracingIsObservationOnly is the tentpole guarantee: the same workload
-// produces an identical report whether or not tracing and telemetry are
+// produces an identical report, windows included, whether or not tracing is
 // collecting. The recorder must never perturb scheduling.
 func TestTracingIsObservationOnly(t *testing.T) {
 	run := func(traced bool) *Report {
 		var srv *Server
 		if traced {
-			srv, _ = tracedServer(t, PolicyPTDHA, true)
+			srv, _ = tracedServer(t, PolicyPTDHA)
 		} else {
 			srv = newServer(t, PolicyPTDHA)
 		}
@@ -62,10 +61,9 @@ func TestTracingIsObservationOnly(t *testing.T) {
 		return rep
 	}
 	plain, traced := run(false), run(true)
-	if traced.Telemetry == nil {
-		t.Fatal("telemetry-enabled run returned no snapshot")
+	if len(plain.Telemetry) == 0 {
+		t.Fatal("run returned no telemetry windows")
 	}
-	traced.Telemetry = nil // the only field tracing is allowed to add
 	if !reflect.DeepEqual(plain, traced) {
 		t.Fatalf("tracing changed the run:\nplain:  %+v\ntraced: %+v", plain, traced)
 	}
@@ -74,7 +72,7 @@ func TestTracingIsObservationOnly(t *testing.T) {
 // TestTraceRecordsEvictions drives the server over capacity and checks the
 // eviction path against the recorded timeline, event for event.
 func TestTraceRecordsEvictions(t *testing.T) {
-	srv, rec := tracedServer(t, PolicyPipeSwitch, false)
+	srv, rec := tracedServer(t, PolicyPipeSwitch)
 	deployBERT(t, srv, 140)
 	srv.Warmup()
 	rep, err := srv.Run(workload.Poisson(2, 100, 1000, 140))
@@ -122,7 +120,7 @@ func TestTraceRecordsEvictions(t *testing.T) {
 // TestTraceRecordsRelocations replays the skewed hotspot workload and checks
 // each relocation left an instant on the *source* GPU's timeline.
 func TestTraceRecordsRelocations(t *testing.T) {
-	srv, rec := tracedServer(t, PolicyDHA, false)
+	srv, rec := tracedServer(t, PolicyDHA)
 	deployBERT(t, srv, 12)
 	srv.Warmup()
 	var reqs []workload.Request
@@ -166,7 +164,7 @@ func TestTelemetrySnapshot(t *testing.T) {
 	srv, err := New(Config{
 		Topo: topology.P38xlarge(), Cost: costmodel.Default(),
 		Policy: PolicyPipeSwitch, SLO: 100 * sim.Millisecond,
-		WindowWidth: 10 * sim.Second, Trace: rec, Telemetry: true,
+		WindowWidth: 10 * sim.Second, Trace: rec,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -182,9 +180,9 @@ func TestTelemetrySnapshot(t *testing.T) {
 	}
 	var reqs, colds, evicts int
 	for _, w := range rep.Telemetry {
-		reqs += w.Requests
-		colds += w.ColdStarts
-		evicts += w.Evictions
+		reqs += w.Count[metrics.Arrival]
+		colds += w.Count[metrics.ColdStart]
+		evicts += w.Count[metrics.Eviction]
 		if w.BusyFraction < 0 || w.BusyFraction > 1 {
 			t.Fatalf("busy fraction %v out of range", w.BusyFraction)
 		}
@@ -216,7 +214,7 @@ func TestTelemetrySnapshot(t *testing.T) {
 // TestTraceMemoryCounters checks every GPU carries a memory-occupancy track
 // and that samples move when evictions free memory.
 func TestTraceMemoryCounters(t *testing.T) {
-	srv, rec := tracedServer(t, PolicyPipeSwitch, false)
+	srv, rec := tracedServer(t, PolicyPipeSwitch)
 	deployBERT(t, srv, 140)
 	srv.Warmup()
 	if _, err := srv.Run(workload.Poisson(2, 100, 1000, 140)); err != nil {
